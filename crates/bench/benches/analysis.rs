@@ -1,7 +1,7 @@
 //! Analysis kernels on a synthetic probe store: these are the functions
 //! that crunch the three-month database into the paper's figures.
 
-use cloud_sim::time::SimDuration;
+use cloud_sim::time::{SimDuration, SimTime};
 use criterion::{criterion_group, criterion_main, Criterion};
 use spotlight_bench::synthetic_store;
 use spotlight_core::analysis::{
@@ -10,8 +10,7 @@ use spotlight_core::analysis::{
 use std::hint::black_box;
 
 fn bench_analysis(c: &mut Criterion) {
-    let store = synthetic_store(100_000);
-    let store = store.read();
+    let store = synthetic_store(100_000).snapshot(SimTime::ZERO);
     let mut group = c.benchmark_group("analysis_100k_probes");
     group.sample_size(20);
     group.bench_function("spike_unavailability", |b| {

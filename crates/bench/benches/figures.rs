@@ -23,7 +23,7 @@ fn bench_figures(c: &mut Criterion) {
     // One shared study: the cost of the figure benches is the analysis,
     // not the simulation.
     let (cloud, store, start, end) = small_study(5, 2);
-    let db = store.read();
+    let db = store.snapshot(end);
     let mut group = c.benchmark_group("figure");
     group.sample_size(10);
 

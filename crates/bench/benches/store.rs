@@ -11,7 +11,8 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use spotlight_bench::{synthetic_probes, synthetic_store, synthetic_store_spaced};
 use spotlight_core::probe::ProbeKind;
 use spotlight_core::query::SpotLightQuery;
-use spotlight_core::store::{DataStore, StoreRead};
+use spotlight_core::snapshot::StoreSnapshot;
+use spotlight_core::store::DataStore;
 use spotlight_core::{DurableOptions, FsyncPolicy};
 use spotlight_persist::tempdir::TempDir;
 use std::collections::HashMap;
@@ -19,7 +20,7 @@ use std::hint::black_box;
 
 /// The old full-scan availability computation, kept as the measured
 /// baseline for the indexed [`SpotLightQuery::availability`].
-fn scan_availability(store: &StoreRead<'_>, market: MarketId, kind: ProbeKind) -> (u64, u64, u64) {
+fn scan_availability(store: &StoreSnapshot, market: MarketId, kind: ProbeKind) -> (u64, u64, u64) {
     let mut probes = 0u64;
     let mut rejections = 0u64;
     for p in store.probes() {
@@ -45,7 +46,7 @@ fn scan_availability(store: &StoreRead<'_>, market: MarketId, kind: ProbeKind) -
 
 /// The old full-scan conditional-unavailability trial loop.
 fn scan_conditional(
-    store: &StoreRead<'_>,
+    store: &StoreSnapshot,
     a: MarketId,
     b: MarketId,
     window: SimDuration,
@@ -73,7 +74,7 @@ fn scan_conditional(
 /// One full-log pass computing every market's availability sweep — the
 /// best a scan can do, and the baseline the epoch-summarized sweep is
 /// gated against (the acceptance target is ≥ 5× over this).
-fn scan_sweep(store: &StoreRead<'_>, span_end: SimTime) -> u64 {
+fn scan_sweep(store: &StoreSnapshot, span_end: SimTime) -> u64 {
     let mut stats: HashMap<MarketId, (u64, u64)> = HashMap::new();
     for p in store.probes() {
         if p.kind == ProbeKind::OnDemand && p.outcome.is_informative() {
@@ -225,9 +226,8 @@ fn bench_recover_1m(c: &mut Criterion) {
 }
 
 fn bench_queries(c: &mut Criterion) {
-    let store = synthetic_store(100_000);
     let span_end = SimTime::from_secs(100_000 * 97 + 1);
-    let read = store.read();
+    let read = synthetic_store(100_000).snapshot(span_end);
     let query = SpotLightQuery::new(&read, SimTime::ZERO, span_end);
     // Sort: probed_markets() iterates per-stripe HashMaps, whose order
     // changes per process — the benched (a, b) pair must be stable
@@ -275,9 +275,8 @@ fn bench_queries(c: &mut Criterion) {
 /// `availability_summarized` reads running counters + epoch buckets;
 /// `availability_raw_scan_baseline` is the single-pass full-log scan.
 fn bench_window_sweep(c: &mut Criterion) {
-    let store = synthetic_store_spaced(1_000_000, 3);
     let span_end = SimTime::from_secs(1_000_000 * 3 + 1);
-    let read = store.read();
+    let read = synthetic_store_spaced(1_000_000, 3).snapshot(span_end);
     let query = SpotLightQuery::new(&read, SimTime::ZERO, span_end);
     let mut markets: Vec<MarketId> = read.probed_markets().collect();
     markets.sort_by_key(|m| m.to_string());

@@ -29,7 +29,7 @@ fn summarized_answers(
     store: &spotlight_core::store::DataStore,
     span_end: SimTime,
 ) -> Vec<(MarketId, u64, u64, u64)> {
-    let read = store.read();
+    let read = store.snapshot(span_end);
     let mut markets: Vec<MarketId> = read.probed_markets().collect();
     markets.sort_by_key(|m| m.to_string());
     let query = SpotLightQuery::new(&read, SimTime::ZERO, span_end);

@@ -317,7 +317,7 @@ fn verify_against_stream(store: &DataStore, seed: u64, acked: Option<u64>) {
     // Per-market survivor counts, from the running counters (these are
     // compaction-invariant, so this holds even when the child died
     // mid-spill). All generated probes are informative.
-    let read = store.read();
+    let read = store.snapshot(SimTime::ZERO);
     let per_market: Vec<u64> = (0..MARKETS)
         .map(|m| read.probe_stats(market(m), ProbeKind::OnDemand).informative)
         .collect();
@@ -374,7 +374,7 @@ fn verify_against_stream(store: &DataStore, seed: u64, acked: Option<u64>) {
     }
     assert_eq!(twin.len() as u64, survived);
     assert_eq!(twin.total_cost(), store.total_cost());
-    let twin_read = twin.read();
+    let twin_read = twin.snapshot(SimTime::ZERO);
     for m in 0..MARKETS {
         let mkt = market(m);
         assert_eq!(

@@ -1,5 +1,8 @@
 //! The Chapter 5 analyses: every computation behind Figures 5.4–5.12,
-//! as pure functions over a probe-store snapshot ([`StoreRead`]).
+//! as pure functions over a probe-store snapshot ([`StoreSnapshot`]).
+//! A study takes one snapshot when its run is done and passes it to
+//! every figure, so all of them read the same state and none takes a
+//! store lock.
 //!
 //! The statistical definitions follow the paper:
 //!
@@ -12,8 +15,8 @@
 //!   zones) within the window of a detection.
 
 use crate::probe::{ProbeKind, ProbeOutcome};
+use crate::snapshot::StoreSnapshot;
 use crate::stats::{BucketedRate, Ecdf};
-use crate::store::StoreRead;
 use cloud_sim::ids::{Family, MarketId, Region};
 use cloud_sim::time::{SimDuration, SimTime};
 use std::collections::HashMap;
@@ -47,7 +50,7 @@ pub struct CurvePoint {
 
 /// A per-market view of rejected on-demand probe times, served from the
 /// store's time-sorted rejection index (no probe-log scan).
-fn od_rejections<'a>(store: &'a StoreRead<'a>) -> HashMap<MarketId, &'a [SimTime]> {
+fn od_rejections(store: &StoreSnapshot) -> HashMap<MarketId, &[SimTime]> {
     store
         .rejection_entries()
         .filter(|&((_, kind), _)| kind == ProbeKind::OnDemand)
@@ -60,7 +63,7 @@ fn od_rejections<'a>(store: &'a StoreRead<'a>) -> HashMap<MarketId, &'a [SimTime
 /// every rejected recovery probe keeps long outages from being counted
 /// once per re-probe.
 fn detections_by_group(
-    store: &StoreRead<'_>,
+    store: &StoreSnapshot,
     kind: ProbeKind,
 ) -> HashMap<(Region, Family), Vec<(SimTime, MarketId)>> {
     let mut idx: HashMap<(Region, Family), Vec<(SimTime, MarketId)>> = HashMap::new();
@@ -85,7 +88,7 @@ fn any_in_window(sorted: &[SimTime], from: SimTime, to: SimTime) -> bool {
 /// Figure 5.4 / 5.6: P(on-demand unavailable within `window` of a spike)
 /// as a function of spike size; `region` restricts to one region.
 pub fn spike_unavailability(
-    store: &StoreRead<'_>,
+    store: &StoreSnapshot,
     window: SimDuration,
     region: Option<Region>,
 ) -> Vec<CurvePoint> {
@@ -147,7 +150,7 @@ pub fn spike_unavailability(
 /// region, per spike-size bucket. Returns `(edges, region → share per
 /// bucket)`; shares within one bucket sum to 1 (when it has any
 /// rejections).
-pub fn regional_rejection_share(store: &StoreRead<'_>) -> (Vec<f64>, HashMap<Region, Vec<f64>>) {
+pub fn regional_rejection_share(store: &StoreSnapshot) -> (Vec<f64>, HashMap<Region, Vec<f64>>) {
     let edges = spike_thresholds();
     let probe_bucket = BucketedRate::new(&edges);
     let mut counts: HashMap<Region, Vec<u64>> = HashMap::new();
@@ -185,7 +188,7 @@ pub fn regional_rejection_share(store: &StoreRead<'_>) -> (Vec<f64>, HashMap<Reg
 /// Figure 5.7: of all rejected on-demand probes, the share found via the
 /// triggering price spike versus via related-market fan-out, per spike
 /// bucket. Returns `(edges, by_spike_share, by_related_share)`.
-pub fn rejection_attribution(store: &StoreRead<'_>) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+pub fn rejection_attribution(store: &StoreSnapshot) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
     let edges = spike_thresholds();
     let bucketer = BucketedRate::new(&edges);
     let mut spike = vec![0u64; edges.len()];
@@ -225,7 +228,7 @@ pub fn rejection_attribution(store: &StoreRead<'_>) -> (Vec<f64>, Vec<f64>, Vec<
 /// that at least one *same-type* market in another zone is also detected
 /// unavailable within `window`, as a function of the detection's spike
 /// size.
-pub fn cross_az_unavailability(store: &StoreRead<'_>, window: SimDuration) -> Vec<CurvePoint> {
+pub fn cross_az_unavailability(store: &StoreSnapshot, window: SimDuration) -> Vec<CurvePoint> {
     let rejections = od_rejections(store);
     let mut rate = BucketedRate::new(&spike_thresholds());
 
@@ -263,7 +266,7 @@ pub fn cross_az_unavailability(store: &StoreRead<'_>, window: SimDuration) -> Ve
 
 /// Figure 5.9: the CDF of measured on-demand unavailability durations,
 /// in hours.
-pub fn duration_cdf(store: &StoreRead<'_>) -> Ecdf {
+pub fn duration_cdf(store: &StoreSnapshot) -> Ecdf {
     Ecdf::from_samples(
         store
             .intervals()
@@ -279,7 +282,7 @@ pub fn duration_cdf(store: &StoreRead<'_>) -> Ecdf {
 /// Only the periodic `CheckCapacity` stream (§3.3) counts:
 /// cross-verification probes and recovery re-probes fired during
 /// on-demand squeezes would otherwise bias the high-price buckets.
-pub fn spot_cna_curve(store: &StoreRead<'_>, region: Option<Region>) -> Vec<CurvePoint> {
+pub fn spot_cna_curve(store: &StoreSnapshot, region: Option<Region>) -> Vec<CurvePoint> {
     use crate::probe::ProbeTrigger;
     let mut rate = BucketedRate::new(&spot_ratio_buckets());
     for p in store.probes() {
@@ -310,7 +313,7 @@ pub fn spot_cna_curve(store: &StoreRead<'_>, region: Option<Region>) -> Vec<Curv
 /// Figure 5.11: where spot capacity-not-available events land, as a
 /// share per region per price bucket. Returns `(edges, region →
 /// share-of-all-CNA per bucket)`.
-pub fn spot_cna_distribution(store: &StoreRead<'_>) -> (Vec<f64>, HashMap<Region, Vec<f64>>) {
+pub fn spot_cna_distribution(store: &StoreSnapshot) -> (Vec<f64>, HashMap<Region, Vec<f64>>) {
     let edges = spot_ratio_buckets();
     let bucketer = BucketedRate::new(&edges);
     let mut counts: HashMap<Region, Vec<u64>> = HashMap::new();
@@ -386,7 +389,7 @@ impl CrossRelation {
 /// *related* market (same family, same region, a different zone) is
 /// detected unavailable in the other (or same) kind within each window.
 pub fn cross_market_unavailability(
-    store: &StoreRead<'_>,
+    store: &StoreSnapshot,
     windows: &[SimDuration],
 ) -> HashMap<CrossRelation, Vec<f64>> {
     let od_idx = detections_by_group(store, ProbeKind::OnDemand);
@@ -518,7 +521,11 @@ mod tests {
             2.0,
         ));
         s.record_spike(spike(5000, m, 5.0));
-        let curve = spike_unavailability(&s.read(), SimDuration::from_secs(900), None);
+        let curve = spike_unavailability(
+            &s.snapshot(SimTime::ZERO),
+            SimDuration::from_secs(900),
+            None,
+        );
         // Threshold >=0: 2 trials, 1 hit.
         assert_eq!(curve[0].trials, 2);
         assert_eq!(curve[0].probability, Some(0.5));
@@ -536,7 +543,11 @@ mod tests {
         s.record_spike(spike(0, m, 1.0));
         s.record_spike(spike(300, m, 3.0));
         s.record_spike(spike(600, m, 2.0));
-        let curve = spike_unavailability(&s.read(), SimDuration::from_secs(900), None);
+        let curve = spike_unavailability(
+            &s.snapshot(SimTime::ZERO),
+            SimDuration::from_secs(900),
+            None,
+        );
         assert_eq!(curve[0].trials, 1);
         // The cluster carries its max ratio (3.0).
         let p3 = curve.iter().find(|c| c.threshold == 3.0).unwrap();
@@ -569,7 +580,7 @@ mod tests {
                 0.2,
             ));
         }
-        let (edges, by_spike, by_related) = rejection_attribution(&s.read());
+        let (edges, by_spike, by_related) = rejection_attribution(&s.snapshot(SimTime::ZERO));
         let b = edges.iter().position(|&e| e == 2.0).unwrap();
         assert!((by_spike[b] - 1.0 / 3.0).abs() < 1e-9);
         assert!((by_related[b] - 2.0 / 3.0).abs() < 1e-9);
@@ -614,7 +625,8 @@ mod tests {
             ProbeOutcome::InsufficientCapacity,
             0.3,
         ));
-        let curve = cross_az_unavailability(&s.read(), SimDuration::from_secs(900));
+        let curve =
+            cross_az_unavailability(&s.snapshot(SimTime::ZERO), SimDuration::from_secs(900));
         // Three intervals opened, but only the zone-a one is an initial
         // (non-related) detection... the cross-az one was opened via a
         // related trigger, so trials == 1.
@@ -642,7 +654,7 @@ mod tests {
             ProbeOutcome::Fulfilled,
             0.2,
         ));
-        let cdf = duration_cdf(&s.read());
+        let cdf = duration_cdf(&s.snapshot(SimTime::ZERO));
         assert_eq!(cdf.len(), 1);
         assert_eq!(cdf.quantile(1.0), Some(2.0), "two hours");
     }
@@ -683,7 +695,7 @@ mod tests {
             ProbeOutcome::PriceTooLow,
             0.05,
         ));
-        let curve = spot_cna_curve(&s.read(), None);
+        let curve = spot_cna_curve(&s.snapshot(SimTime::ZERO), None);
         assert_eq!(curve[0].trials, 2);
         assert_eq!(curve[0].probability, Some(0.5));
         let hi = curve.iter().find(|c| c.threshold == 0.5).unwrap();
@@ -714,7 +726,7 @@ mod tests {
             0.1,
         ));
         let windows = [SimDuration::from_secs(300), SimDuration::from_secs(900)];
-        let out = cross_market_unavailability(&s.read(), &windows);
+        let out = cross_market_unavailability(&s.snapshot(SimTime::ZERO), &windows);
         let od_spot = &out[&CrossRelation::OdSpot];
         assert_eq!(od_spot[0], 0.0, "600 s arrival misses the 300 s window");
         assert_eq!(od_spot[1], 1.0, "within the 900 s window");

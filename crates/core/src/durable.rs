@@ -1544,7 +1544,7 @@ mod tests {
         assert_eq!(recovered.suppressed_probes(), 2);
         let health = recovered.region_health(Region::EuWest1).expect("health");
         assert_eq!(health.degraded_secs, 390);
-        let r = recovered.read();
+        let r = recovered.snapshot(SimTime::ZERO);
         assert_eq!(r.probes().count(), 50);
         assert_eq!(r.spikes_at_or_above(3.0), 1);
         assert_eq!(r.revocations().count(), 1);
@@ -1571,7 +1571,7 @@ mod tests {
         }
         let recovered = DataStore::recover(&dir).expect("recover");
         assert_eq!(recovered.len(), 40);
-        let r = recovered.read();
+        let r = recovered.snapshot(SimTime::ZERO);
         assert_eq!(r.probes_of(market(0)).count(), 30);
         assert_eq!(r.probes_of(market(1)).count(), 10);
         assert!(r.is_unavailable(market(1), ProbeKind::OnDemand));
@@ -1618,7 +1618,7 @@ mod tests {
         let recovered = DataStore::recover(&dir).expect("recover");
         let total = (WRITERS * PER_WRITER) as usize;
         assert_eq!(recovered.len(), total);
-        assert_eq!(recovered.read().probes().count(), total);
+        assert_eq!(recovered.snapshot(SimTime::ZERO).probes().count(), total);
         assert_eq!(
             recovered.total_cost(),
             Price::from_micros(Price::from_dollars(0.1).as_micros() * total as u64)

@@ -43,9 +43,9 @@
 //! let end = SimTime::ZERO + SimDuration::days(1);
 //! engine.run_until(end);
 //!
-//! // Ask the information service what it learned (a read snapshot
-//! // over the store's lock stripes).
-//! let db = store.read();
+//! // Ask the information service what it learned (an immutable
+//! // snapshot of the store, captured once and read lock-free).
+//! let db = store.snapshot(end);
 //! let query = SpotLightQuery::new(&db, SimTime::ZERO, end);
 //! for market in engine.cloud().catalog().markets() {
 //!     let stats = query.availability(*market, ProbeKind::OnDemand);
@@ -80,4 +80,4 @@ pub use probe::{ProbeKind, ProbeOutcome, ProbeRecord, ProbeTrigger};
 pub use query::{Freshness, SpotLightQuery};
 pub use snapshot::{SnapshotHub, SnapshotReader, StoreSnapshot};
 pub use spotlight::SpotLight;
-pub use store::{DataStore, RegionHealth, SharedStore, StoreRead};
+pub use store::{DataStore, RegionHealth, SharedStore};

@@ -925,7 +925,7 @@ mod tests {
             },
         );
         assert!(report.probes > 0, "expected probes in three days");
-        assert!(store.read().spikes().next().is_some());
+        assert!(store.snapshot(SimTime::ZERO).spikes().next().is_some());
     }
 
     #[test]
@@ -959,24 +959,23 @@ mod tests {
 
         // Fingerprint the live store, drop it (joining the log
         // writer), and demand the recovered store answer identically.
-        let markets: Vec<_> = {
-            let r = store.read();
-            r.probes().map(|p| p.market).collect()
-        };
+        let live = store.snapshot(SimTime::ZERO);
+        let markets: Vec<_> = live.probes().map(|p| p.market).collect();
         let live_len = store.len();
         let live_cost = store.total_cost();
         let live_suppressed = store.suppressed_probes();
         let live_stats: Vec<_> = markets
             .iter()
-            .map(|&m| store.read().probe_stats(m, ProbeKind::OnDemand))
+            .map(|&m| live.probe_stats(m, ProbeKind::OnDemand))
             .collect();
+        drop(live);
         drop(store);
 
         let recovered = DataStore::recover(&dir).expect("recover");
         assert_eq!(recovered.len(), live_len);
         assert_eq!(recovered.total_cost(), live_cost);
         assert_eq!(recovered.suppressed_probes(), live_suppressed);
-        let r = recovered.read();
+        let r = recovered.snapshot(SimTime::ZERO);
         assert_eq!(r.probes().count(), live_len);
         for (m, want) in markets.iter().zip(live_stats) {
             assert_eq!(r.probe_stats(*m, ProbeKind::OnDemand), want);

@@ -8,13 +8,13 @@
 //! toward markets whose on-demand fallbacks are actually obtainable when
 //! spot servers are revoked.
 //!
-//! Queries run over a [`StoreRead`] snapshot of the striped store, so a
-//! batch of queries sees one consistent state and pays the stripe locks
-//! once, not per call.
+//! Queries run over a [`StoreSnapshot`] of the striped store, so a
+//! batch of queries sees one consistent state and holds no lock: the
+//! stripe locks were paid once, when the snapshot was captured.
 
 use crate::budget::SpikeRate;
 use crate::probe::ProbeKind;
-use crate::store::StoreRead;
+use crate::snapshot::StoreSnapshot;
 use cloud_sim::ids::{MarketId, Region};
 use cloud_sim::time::{SimDuration, SimTime};
 use std::collections::{HashMap, HashSet};
@@ -80,7 +80,7 @@ impl Freshness {
 /// The query interface over a probe-database snapshot.
 #[derive(Debug, Clone, Copy)]
 pub struct SpotLightQuery<'a> {
-    store: &'a StoreRead<'a>,
+    store: &'a StoreSnapshot,
     /// Observation span the fractions are computed over.
     span: (SimTime, SimTime),
 }
@@ -92,7 +92,7 @@ impl<'a> SpotLightQuery<'a> {
     /// # Panics
     ///
     /// Panics if `end <= start`.
-    pub fn new(store: &'a StoreRead<'a>, start: SimTime, end: SimTime) -> Self {
+    pub fn new(store: &'a StoreSnapshot, start: SimTime, end: SimTime) -> Self {
         assert!(end > start, "observation span must be non-empty");
         SpotLightQuery {
             store,
@@ -240,8 +240,8 @@ impl<'a> SpotLightQuery<'a> {
     ) -> Option<f64> {
         // Both sides are index-backed: `a`'s detections come from its
         // interval index and `b`'s rejections from its time-sorted
-        // rejection index, so each trial is a binary search. The shared
-        // read snapshot makes the cross-stripe access free.
+        // rejection index, so each trial is a binary search. The
+        // snapshot makes the cross-stripe access free.
         let b_times = self.store.rejection_times(b, ProbeKind::OnDemand);
         let mut trials = 0u64;
         let mut hits = 0u64;
@@ -365,7 +365,7 @@ mod tests {
         s.record_probe(probe(0, m, ProbeOutcome::InsufficientCapacity));
         s.record_probe(probe(900, m, ProbeOutcome::Fulfilled));
         let (a, b) = hour_span();
-        let r = s.read();
+        let r = s.snapshot(b);
         let q = SpotLightQuery::new(&r, a, b);
         let st = q.availability(m, ProbeKind::OnDemand);
         assert_eq!(st.probes, 2);
@@ -381,7 +381,7 @@ mod tests {
         let m = market(0, "c3.large");
         s.record_probe(probe(1800, m, ProbeOutcome::InsufficientCapacity));
         let (a, b) = hour_span();
-        let r = s.read();
+        let r = s.snapshot(b);
         let q = SpotLightQuery::new(&r, a, b);
         assert_eq!(q.unavailable_seconds(m, ProbeKind::OnDemand), 1800);
     }
@@ -400,7 +400,7 @@ mod tests {
             });
         }
         let (a, b) = hour_span();
-        let r = s.read();
+        let r = s.snapshot(b);
         let q = SpotLightQuery::new(&r, a, b);
         assert_eq!(
             q.mean_time_to_revocation(m),
@@ -428,7 +428,7 @@ mod tests {
             s.record_probe(probe(t + 400, correlated, ProbeOutcome::Fulfilled));
             s.record_probe(probe(t + 60, independent, ProbeOutcome::Fulfilled));
         }
-        let r = s.read();
+        let r = s.snapshot(SimTime::from_secs(20_000));
         let q = SpotLightQuery::new(&r, SimTime::ZERO, SimTime::from_secs(20_000));
         let w = SimDuration::from_secs(900);
         assert_eq!(q.conditional_unavailability(m, correlated, w), Some(1.0));
@@ -451,7 +451,7 @@ mod tests {
         }
         s.record_probe(probe(0, sparse, ProbeOutcome::Fulfilled));
         let (a, b) = hour_span();
-        let r = s.read();
+        let r = s.snapshot(b);
         let q = SpotLightQuery::new(&r, a, b);
         let top = q.top_available_markets(&[good, sparse], None, 3, 10);
         assert_eq!(top.len(), 1);
@@ -471,7 +471,7 @@ mod tests {
             });
         }
         let (a, b) = hour_span();
-        let r = s.read();
+        let r = s.snapshot(b);
         let q = SpotLightQuery::new(&r, a, b);
         let rates = q.spike_rates(&[1.0, 2.0, 5.0], SimDuration::from_secs(1800));
         assert_eq!(rates[0].spikes_per_window, 1.5); // 3 spikes / 2 windows
@@ -485,8 +485,8 @@ mod tests {
         let m = market(0, "c3.large");
         s.record_probe(probe(0, m, ProbeOutcome::InsufficientCapacity));
         s.record_probe(probe(600, m, ProbeOutcome::Fulfilled));
-        let r = s.read();
         let (a, b) = hour_span();
+        let r = s.snapshot(b);
         let q = SpotLightQuery::new(&r, a, b);
         let mut durations = vec![SimDuration::from_secs(999)];
         q.unavailability_durations_into(ProbeKind::OnDemand, &mut durations);
@@ -504,7 +504,7 @@ mod tests {
         let (a, b) = hour_span();
         // Never observed: no age, not fresh at any horizon.
         {
-            let r = s.read();
+            let r = s.snapshot(b);
             let q = SpotLightQuery::new(&r, a, b);
             let f = q.freshness(m, ProbeKind::OnDemand);
             assert_eq!(f.last_informative, None);
@@ -515,7 +515,7 @@ mod tests {
         s.record_probe(probe(600, m, ProbeOutcome::Fulfilled));
         s.record_probe(probe(3000, m, ProbeOutcome::ApiLimited));
         {
-            let r = s.read();
+            let r = s.snapshot(b);
             let q = SpotLightQuery::new(&r, a, b);
             let f = q.freshness(m, ProbeKind::OnDemand);
             assert_eq!(f.last_informative, Some(SimTime::from_secs(600)));
@@ -527,7 +527,7 @@ mod tests {
         // A degraded region poisons freshness regardless of age.
         s.mark_region_degraded(Region::UsEast1, SimTime::from_secs(3100));
         {
-            let r = s.read();
+            let r = s.snapshot(b);
             let q = SpotLightQuery::new(&r, a, b);
             let (st, f) = q.availability_qualified(m, ProbeKind::OnDemand);
             assert_eq!(st.probes, 1);
@@ -537,7 +537,7 @@ mod tests {
         }
         // Recovery clears the flag.
         s.mark_region_recovered(Region::UsEast1, SimTime::from_secs(3200));
-        let r = s.read();
+        let r = s.snapshot(b);
         let q = SpotLightQuery::new(&r, a, b);
         assert!(q.freshness(m, ProbeKind::OnDemand).is_fresh(b - a));
         assert!(q.degraded_regions().is_empty());
@@ -547,7 +547,7 @@ mod tests {
     #[should_panic(expected = "non-empty")]
     fn empty_span_panics() {
         let s = DataStore::new();
-        let r = s.read();
+        let r = s.snapshot(SimTime::from_secs(10));
         let _ = SpotLightQuery::new(&r, SimTime::from_secs(10), SimTime::from_secs(10));
     }
 }

@@ -1,24 +1,23 @@
-//! Immutable, atomically-swapped snapshots of the store — the
-//! RCU/arc-swap pattern the HTTP query service reads through.
+//! Immutable, atomically-swapped snapshots of the store — the one read
+//! path of the crate, and the RCU/arc-swap pattern the HTTP query
+//! service reads through.
 //!
-//! A live [`crate::store::StoreRead`] holds every stripe's read lock,
-//! which is exactly right for a batch of analyses but wrong for a
-//! serving hot path: a million concurrent GETs would contend with each
-//! other and stall ingest. Instead the service publishes a
-//! [`StoreSnapshot`] — an owned deep copy of the stripes plus the
-//! store-wide counters, taken under one consistent read pass — into a
-//! [`SnapshotHub`], and request workers read through a per-worker
-//! [`SnapshotReader`] cache:
+//! A [`StoreSnapshot`] is an owned deep copy of the stripes plus the
+//! store-wide counters, captured by [`DataStore::snapshot`] under every
+//! stripe's read lock. Every query runs over one: the whole query and
+//! analysis surface is `impl StoreSnapshot` in [`crate::store`],
+//! [`crate::query::SpotLightQuery`] and [`crate::analysis`] take
+//! `&StoreSnapshot`, and no query holds a lock, so readers never block
+//! ingest and ingest never blocks readers. An offline caller takes one
+//! snapshot when its run is done and answers every question from it; a
+//! serving process publishes fresh ones on a cadence:
 //!
 //! * **Publish** (ingest side, rare): [`DataStore::snapshot`] →
 //!   [`SnapshotHub::publish`]. Swaps the `Arc` under a tiny mutex and
 //!   bumps a generation counter.
 //! * **Read** (query side, hot): [`SnapshotReader::current`] is one
 //!   atomic generation load plus a branch; the mutex is touched only
-//!   on the first read after a publish. Queries then run over
-//!   [`StoreSnapshot::read`] — the same [`crate::store::StoreRead`]
-//!   API as a live read, with **no locks held**, so readers never
-//!   block ingest and ingest never blocks readers.
+//!   on the first read after a publish.
 //!
 //! The crate forbids `unsafe`, so the swap is a mutex-guarded `Arc`
 //! clone rather than an `AtomicPtr` dance; the generation check keeps
@@ -30,10 +29,9 @@
 //! stripe read locks so consistency is unchanged; the scoped-borrow
 //! machinery lives in that crate, keeping this one `unsafe`-free.
 
-use crate::store::{DataStore, ReadView, RegionHealth, StoreRead, Stripe};
+use crate::store::{DataStore, RegionHealth, Stripe};
 use crate::sync::Mutex;
 use cloud_sim::ids::Region;
-use cloud_sim::price::Price;
 use cloud_sim::time::SimTime;
 use spotlight_pool::WorkerPool;
 use std::collections::HashMap;
@@ -55,34 +53,16 @@ pub struct StoreSnapshot {
 }
 
 impl StoreSnapshot {
-    /// A lock-free read view over the snapshot — the full
-    /// [`StoreRead`] query/analysis surface, shareable across any
-    /// number of threads.
-    pub fn read(&self) -> StoreRead<'_> {
-        StoreRead {
-            view: ReadView::Snapshot(self),
-        }
+    /// The snapshot itself: `snap.read().probes()` and `snap.probes()`
+    /// are the same query.
+    pub fn read(&self) -> &StoreSnapshot {
+        self
     }
 
     /// The publisher-supplied capture time: queries default their
     /// observation span's end (their "now") to this.
     pub fn as_of(&self) -> SimTime {
         self.as_of
-    }
-
-    /// Probes recorded over the store's lifetime as of the capture.
-    pub fn len(&self) -> usize {
-        self.recorded_probes as usize
-    }
-
-    /// True when the captured store had recorded no probes.
-    pub fn is_empty(&self) -> bool {
-        self.recorded_probes == 0
-    }
-
-    /// Total money spent on probes as of the capture.
-    pub fn total_cost(&self) -> Price {
-        Price::from_micros(self.total_cost_micros)
     }
 }
 
@@ -122,13 +102,19 @@ impl DataStore {
         } else {
             guards.iter().map(|g| (**g).clone()).collect()
         };
+        // `record_probe` bumps these inside its stripe write lock, so
+        // loading them before the guards drop makes `len` and
+        // `total_cost` agree with the copied stripes.
+        let recorded_probes = self.recorded_probes.load(Ordering::Relaxed);
+        let total_cost_micros = self.total_cost_micros.load(Ordering::Relaxed);
+        let suppressed_probes = self.suppressed_probes.load(Ordering::Relaxed);
         drop(guards);
         StoreSnapshot {
             stripes,
             epoch_secs: self.epoch_secs,
-            recorded_probes: self.recorded_probes.load(Ordering::Relaxed),
-            total_cost_micros: self.total_cost_micros.load(Ordering::Relaxed),
-            suppressed_probes: self.suppressed_probes.load(Ordering::Relaxed),
+            recorded_probes,
+            total_cost_micros,
+            suppressed_probes,
             region_health: self.region_health.read().clone(),
             durability_lost: self.durability_lost(),
             as_of,
@@ -223,6 +209,8 @@ mod tests {
     use crate::probe::{ProbeKind, ProbeOutcome, ProbeRecord, ProbeTrigger};
     use crate::query::SpotLightQuery;
     use cloud_sim::ids::{Az, MarketId, Platform};
+    use cloud_sim::price::Price;
+    use cloud_sim::time::SimDuration;
 
     fn market(i: u8) -> MarketId {
         MarketId {
@@ -246,7 +234,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_answers_match_live_reads() {
+    fn snapshot_answers_match_recorded_probes() {
         let store = DataStore::new();
         let m = market(0);
         store.record_probe(probe(0, m, ProbeOutcome::InsufficientCapacity));
@@ -255,27 +243,20 @@ mod tests {
         store.mark_region_degraded(Region::EuWest1, SimTime::from_secs(100));
 
         let snap = store.snapshot(SimTime::from_secs(3600));
-        let live = store.read();
-        let frozen = snap.read();
-        let span = (SimTime::ZERO, SimTime::from_secs(3600));
-
-        let ql = SpotLightQuery::new(&live, span.0, span.1);
-        let qs = SpotLightQuery::new(&frozen, span.0, span.1);
-        assert_eq!(
-            ql.availability(m, ProbeKind::OnDemand),
-            qs.availability(m, ProbeKind::OnDemand)
-        );
-        assert_eq!(
-            ql.freshness(m, ProbeKind::OnDemand),
-            qs.freshness(m, ProbeKind::OnDemand)
-        );
-        assert_eq!(ql.degraded_regions(), qs.degraded_regions());
-        assert_eq!(live.len(), frozen.len());
-        assert_eq!(live.total_cost(), frozen.total_cost());
-        assert_eq!(
-            live.probed_markets().count(),
-            frozen.probed_markets().count()
-        );
+        let q = SpotLightQuery::new(&snap, SimTime::ZERO, SimTime::from_secs(3600));
+        // One closed interval [0, 900) over a one-hour span.
+        let stats = q.availability(m, ProbeKind::OnDemand);
+        assert_eq!((stats.probes, stats.rejections, stats.intervals), (2, 1, 1));
+        assert_eq!(stats.unavailable_fraction, 0.25);
+        let fresh = q.freshness(m, ProbeKind::OnDemand);
+        assert_eq!(fresh.last_informative, Some(SimTime::from_secs(900)));
+        assert_eq!(fresh.age, Some(SimDuration::from_secs(2700)));
+        assert!(!fresh.region_degraded);
+        assert_eq!(fresh.durability_lost, None);
+        assert_eq!(q.degraded_regions(), vec![Region::EuWest1]);
+        assert_eq!(snap.len(), 3);
+        assert_eq!(snap.total_cost(), Price::from_dollars(0.3));
+        assert_eq!(snap.probed_markets().count(), 2);
         assert_eq!(snap.as_of(), SimTime::from_secs(3600));
     }
 
@@ -286,10 +267,44 @@ mod tests {
         store.record_probe(probe(0, m, ProbeOutcome::Fulfilled));
         let snap = store.snapshot(SimTime::from_secs(10));
         store.record_probe(probe(20, m, ProbeOutcome::InsufficientCapacity));
-        let frozen = snap.read();
-        assert_eq!(frozen.len(), 1);
-        assert!(!frozen.is_unavailable(m, ProbeKind::OnDemand));
-        assert_eq!(store.read().len(), 2);
+        assert_eq!(snap.len(), 1);
+        assert!(!snap.is_unavailable(m, ProbeKind::OnDemand));
+        assert_eq!(store.len(), 2);
+    }
+
+    /// Snapshots taken while writers ingest must count exactly the
+    /// probes they copied: the store-wide counters are captured under
+    /// the same stripe guards as the stripes.
+    #[test]
+    fn snapshot_counters_agree_with_copied_stripes_under_ingest() {
+        const WRITERS: u64 = 3;
+        const PER_WRITER: u64 = 2000;
+        let store = DataStore::new();
+        let done = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            for w in 0..WRITERS {
+                let (store, done) = (&store, &done);
+                scope.spawn(move || {
+                    for t in 0..PER_WRITER {
+                        let mut p = probe(t, market((t % 8) as u8), ProbeOutcome::Fulfilled);
+                        p.cost = Price::from_micros(1 + w * 7 + t % 5);
+                        store.record_probe(p);
+                    }
+                    done.fetch_add(1, Ordering::Release);
+                });
+            }
+            let mut snapshots = 0u32;
+            while done.load(Ordering::Acquire) < WRITERS || snapshots == 0 {
+                let snap = store.snapshot(SimTime::ZERO);
+                assert_eq!(snap.len(), snap.probes().count());
+                let copied: u64 = snap.probes().map(|p| p.cost.as_micros()).sum();
+                assert_eq!(snap.total_cost().as_micros(), copied);
+                snapshots += 1;
+            }
+        });
+        let snap = store.snapshot(SimTime::ZERO);
+        assert_eq!(snap.len() as u64, WRITERS * PER_WRITER);
+        assert_eq!(snap.probes().count(), snap.len());
     }
 
     #[test]
@@ -338,7 +353,7 @@ mod tests {
                         let snap = reader.current(&hub);
                         let n = snap.len();
                         assert!(n >= last, "snapshots must advance monotonically");
-                        assert_eq!(snap.read().probes().count(), n);
+                        assert_eq!(snap.probes().count(), n);
                         last = n;
                     }
                 });
@@ -376,7 +391,7 @@ mod tests {
                         let snap = reader.current(hub);
                         let n = snap.len();
                         assert!(n >= last, "snapshots must advance monotonically");
-                        assert_eq!(snap.read().probes().count(), n);
+                        assert_eq!(snap.probes().count(), n);
                         last = n;
                     }
                 });

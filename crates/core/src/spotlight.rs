@@ -563,7 +563,7 @@ mod tests {
             ..SpotLightConfig::default()
         };
         let store = run_spotlight(3, 11, cfg);
-        let s = store.read();
+        let s = store.snapshot(SimTime::ZERO);
         assert!(!s.is_empty(), "expected probes on a volatile testbed");
         assert!(
             s.probes().any(|p| p.kind == ProbeKind::Spot),
@@ -592,7 +592,7 @@ mod tests {
             ..SpotLightConfig::default()
         };
         let store = run_spotlight(5, 13, cfg);
-        let s = store.read();
+        let s = store.snapshot(SimTime::ZERO);
         let detections = s
             .probes()
             .filter(|p| {
@@ -647,8 +647,8 @@ mod tests {
         assert_eq!(recovered.len(), twin.len());
         assert_eq!(recovered.total_cost(), twin.total_cost());
         assert_eq!(recovered.suppressed_probes(), twin.suppressed_probes());
-        let want = twin.read();
-        let got = recovered.read();
+        let want = twin.snapshot(SimTime::ZERO);
+        let got = recovered.snapshot(SimTime::ZERO);
         assert_eq!(
             got.probes().collect::<Vec<_>>(),
             want.probes().collect::<Vec<_>>(),
@@ -724,7 +724,7 @@ mod tests {
         };
         let spike_probes = |store: &crate::store::SharedStore| {
             store
-                .read()
+                .snapshot(SimTime::ZERO)
                 .probes()
                 .filter(|p| matches!(p.trigger, ProbeTrigger::PriceSpike { .. }))
                 .count()

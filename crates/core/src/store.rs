@@ -4,9 +4,10 @@
 //! The prototype in the paper logged "all states and status changes
 //! timestamps ... into database" through a dedicated database manager
 //! (Chapter 4). Here the store is a **lock-striped, epoch-summarized
-//! in-memory log**: the analysis (`crate::analysis`) and the query
-//! interface (`crate::query`) are pure functions over a [`StoreRead`]
-//! snapshot of it.
+//! in-memory log** with one read path: [`DataStore::snapshot`] captures
+//! an owned, immutable [`StoreSnapshot`], and the analysis
+//! (`crate::analysis`), the query interface (`crate::query`) and the
+//! HTTP service are pure functions over it.
 //!
 //! # Striping
 //!
@@ -14,11 +15,17 @@
 //! each stripe sits behind its own [`crate::sync::RwLock`]. Ingest
 //! (`record_*`, all `&self`) write-locks exactly one stripe, so
 //! concurrent probe workers in live mode only contend when they hit the
-//! same stripe. Reads go through [`DataStore::read`], which acquires
-//! every stripe's read lock (in stripe order, so readers never deadlock
-//! against writers) and exposes the whole-log iteration and per-market
-//! index API on the combined snapshot. Store-wide counters
-//! (`len`, `total_cost`, `suppressed_probes`) are lock-free atomics.
+//! same stripe. The query methods live on [`StoreSnapshot`] (the
+//! `impl` block at the end of this file) and hold no lock. The only
+//! captures that lock every stripe at once are [`DataStore::snapshot`]
+//! (read locks, to copy) and [`DataStore::checkpoint`] (write locks, to
+//! encode); both take them in stripe order. Store-wide counters (`len`,
+//! `total_cost`, `suppressed_probes`) are lock-free atomics; `len` and
+//! `total_cost` are bumped inside the stripe lock, so a capture that
+//! loads them under its guards sees them agree with its stripes.
+//! Region health sits behind its own small lock:
+//! [`DataStore::degraded_regions`] and [`DataStore::region_health`]
+//! read it without touching a stripe.
 //!
 //! # Index invariants
 //!
@@ -32,7 +39,7 @@
 //!   case; a rare out-of-order insert (live mode's thread
 //!   interleavings) costs a binary-search insertion. Sorted order is
 //!   what turns time-range queries into binary searches
-//!   ([`StoreRead::probes_between`]).
+//!   ([`StoreSnapshot::probes_between`]).
 //! * `keys` — one [`KeyState`] per `(market, kind)` holding everything
 //!   the per-key queries need in a single hash lookup: running
 //!   informative/rejection counters, the key's interval index (in
@@ -47,7 +54,7 @@
 //! informative/rejection counts and **closed-unavailable seconds**,
 //! updated incrementally at ingest (interval seconds are distributed
 //! over the epochs they cover when the interval closes). Window sweeps
-//! ([`StoreRead::unavailable_seconds_in`]) read whole buckets for the
+//! ([`StoreSnapshot::unavailable_seconds_in`]) read whole buckets for the
 //! epochs fully inside the query span and binary-search the key's
 //! interval index only for the two boundary epochs — O(buckets in
 //! span plus log intervals) instead of O(intervals in span). The fast path
@@ -55,7 +62,7 @@
 //! (always true for the engine's monotone timestamps); a key that ever
 //! observes out-of-order interval bookkeeping is flagged and falls back
 //! to the exact full walk. Spike ratios are likewise bucketed per epoch
-//! in sorted lists, so threshold counts ([`StoreRead::spikes_at_or_above`])
+//! in sorted lists, so threshold counts ([`StoreSnapshot::spikes_at_or_above`])
 //! are binary searches per bucket, independent of the raw spike log.
 //!
 //! # Compaction
@@ -116,7 +123,8 @@
 //! child processes against it.
 
 use crate::probe::{ProbeKind, ProbeOutcome, ProbeRecord, UnavailabilityInterval};
-use crate::sync::{RwLock, RwLockReadGuard};
+use crate::snapshot::StoreSnapshot;
+use crate::sync::RwLock;
 use cloud_sim::ids::{MarketId, Region};
 use cloud_sim::price::Price;
 use cloud_sim::time::{SimDuration, SimTime};
@@ -337,7 +345,7 @@ pub(crate) struct KeyState {
     /// Time-sorted timestamps of unavailable-outcome probes.
     pub(crate) rejection_times: Vec<SimTime>,
     /// Latest informative probe timestamp — the freshness anchor of
-    /// [`StoreRead::last_informative_at`]. A max, not a last-write, so
+    /// [`StoreSnapshot::last_informative_at`]. A max, not a last-write, so
     /// out-of-order live-mode arrivals cannot move it backwards.
     pub(crate) last_informative: Option<SimTime>,
     pub(crate) epochs: EpochSeries,
@@ -445,6 +453,17 @@ fn insert_sorted_by<T: Copy, K: PartialOrd>(
     }
 }
 
+/// The degraded regions of a health table, in canonical region order.
+fn degraded_in(health: &HashMap<Region, RegionHealth>) -> Vec<Region> {
+    let mut out: Vec<Region> = health
+        .iter()
+        .filter(|(_, h)| h.degraded)
+        .map(|(&r, _)| r)
+        .collect();
+    out.sort_unstable();
+    out
+}
+
 /// Distributes a closed interval's `[start, end)` seconds over the
 /// epoch buckets it covers.
 fn add_closed_span(epochs: &mut EpochSeries, start: u64, end: u64, width: u64) {
@@ -498,17 +517,6 @@ impl DataStore {
 
     fn stripe_of(&self, market: MarketId) -> usize {
         stripe_index(market, self.stripes.len())
-    }
-
-    /// Acquires a consistent read snapshot over every stripe. Readers
-    /// share; writers to any stripe wait until the snapshot is dropped.
-    pub fn read(&self) -> StoreRead<'_> {
-        StoreRead {
-            view: ReadView::Live {
-                store: self,
-                stripes: self.stripes.iter().map(|s| s.read()).collect(),
-            },
-        }
     }
 
     /// Records a probe, maintaining unavailability intervals: a rejected
@@ -604,6 +612,13 @@ impl DataStore {
     /// The health record of one region, if a breaker ever reported it.
     pub fn region_health(&self, region: Region) -> Option<RegionHealth> {
         self.region_health.read().get(&region).copied()
+    }
+
+    /// Regions currently marked degraded, in canonical region order.
+    /// Takes only the region-health lock, never a stripe lock, so
+    /// health probes do not stall ingest.
+    pub fn degraded_regions(&self) -> Vec<Region> {
+        degraded_in(&self.region_health.read())
     }
 
     /// Records a revocation-watch observation.
@@ -981,66 +996,18 @@ impl Stripe {
     }
 }
 
-/// A consistent read view over every stripe: the whole query and
-/// analysis surface of the store.
-///
-/// Two backings share this one API:
-///
-/// * **Live** ([`DataStore::read`]) — holds every stripe's read guard.
-///   Holding one blocks writers, so drop it before resuming
-///   ingest-heavy work.
-/// * **Snapshot** ([`crate::snapshot::StoreSnapshot::read`]) — borrows
-///   an owned, immutable copy of the stripes. No locks are held; a
-///   million concurrent readers share it freely (the HTTP service's
-///   hot path).
-#[derive(Debug)]
-pub struct StoreRead<'a> {
-    pub(crate) view: ReadView<'a>,
-}
-
-#[derive(Debug)]
-pub(crate) enum ReadView<'a> {
-    Live {
-        store: &'a DataStore,
-        stripes: Vec<RwLockReadGuard<'a, Stripe>>,
-    },
-    Snapshot(&'a crate::snapshot::StoreSnapshot),
-}
-
-impl StoreRead<'_> {
-    fn stripe_count(&self) -> usize {
-        match &self.view {
-            ReadView::Live { stripes, .. } => stripes.len(),
-            ReadView::Snapshot(s) => s.stripes.len(),
-        }
-    }
-
-    fn stripe_at(&self, i: usize) -> &Stripe {
-        match &self.view {
-            ReadView::Live { stripes, .. } => &stripes[i],
-            ReadView::Snapshot(s) => &s.stripes[i],
-        }
-    }
-
-    fn stripes(&self) -> impl Iterator<Item = &Stripe> + '_ {
-        (0..self.stripe_count()).map(|i| self.stripe_at(i))
-    }
-
+/// The query and analysis surface: every read of the store goes
+/// through an owned, immutable [`StoreSnapshot`], so none of these
+/// methods takes a lock.
+impl StoreSnapshot {
     fn stripe_for(&self, market: MarketId) -> &Stripe {
-        self.stripe_at(stripe_index(market, self.stripe_count()))
-    }
-
-    fn epoch_secs(&self) -> u64 {
-        match &self.view {
-            ReadView::Live { store, .. } => store.epoch_secs,
-            ReadView::Snapshot(s) => s.epoch_secs,
-        }
+        &self.stripes[stripe_index(market, self.stripes.len())]
     }
 
     /// All resident probes, stripe by stripe (oldest first within a
     /// market; cross-market order is stripe layout, not global time).
     pub fn probes(&self) -> impl Iterator<Item = &ProbeRecord> + '_ {
-        self.stripes().flat_map(|s| s.probes.iter())
+        self.stripes.iter().flat_map(|s| s.probes.iter())
     }
 
     /// The resident probes of one market, oldest first.
@@ -1077,14 +1044,15 @@ impl StoreRead<'_> {
 
     /// All resident spike observations.
     pub fn spikes(&self) -> impl Iterator<Item = &SpikeEvent> + '_ {
-        self.stripes().flat_map(|s| s.spikes.iter())
+        self.stripes.iter().flat_map(|s| s.spikes.iter())
     }
 
     /// Spikes with `ratio >= threshold`, counted over the store's
     /// lifetime from the per-epoch sorted ratio buckets (a binary
     /// search per bucket; unaffected by compaction).
     pub fn spikes_at_or_above(&self, threshold: f64) -> u64 {
-        self.stripes()
+        self.stripes
+            .iter()
             .flat_map(|s| s.spike_ratios_by_epoch.values())
             .map(|ratios| (ratios.len() - ratios.partition_point(|&r| r < threshold)) as u64)
             .sum()
@@ -1093,7 +1061,7 @@ impl StoreRead<'_> {
     /// All unavailability intervals (open ones have `end == None`),
     /// stripe by stripe.
     pub fn intervals(&self) -> impl Iterator<Item = &UnavailabilityInterval> + '_ {
-        self.stripes().flat_map(|s| s.intervals.iter())
+        self.stripes.iter().flat_map(|s| s.intervals.iter())
     }
 
     /// The unavailability intervals of one `(market, kind)`, in open
@@ -1142,7 +1110,7 @@ impl StoreRead<'_> {
     pub fn rejection_entries(
         &self,
     ) -> impl Iterator<Item = ((MarketId, ProbeKind), &[SimTime])> + '_ {
-        self.stripes().flat_map(|s| {
+        self.stripes.iter().flat_map(|s| {
             s.keys
                 .iter()
                 .filter(|(_, k)| !k.rejection_times.is_empty())
@@ -1171,7 +1139,7 @@ impl StoreRead<'_> {
         let Some(state) = self.stripe_for(market).keys.get(&(market, kind)) else {
             return (0, 0);
         };
-        let w = self.epoch_secs();
+        let w = self.epoch_secs;
         state
             .epochs
             .counts_in(from.as_secs() / w, to.as_secs().div_ceil(w))
@@ -1188,14 +1156,14 @@ impl StoreRead<'_> {
         to: SimTime,
     ) -> u64 {
         self.stripe_for(market)
-            .unavailable_seconds_in((market, kind), from, to, self.epoch_secs())
+            .unavailable_seconds_in((market, kind), from, to, self.epoch_secs)
     }
 
     /// On-demand rejection counts per region, merged into `out`
     /// (cleared first) from the stripes' running counters.
     pub fn od_rejections_into(&self, out: &mut HashMap<Region, u64>) {
         out.clear();
-        for stripe in self.stripes() {
+        for stripe in self.stripes.iter() {
             for (&region, &n) in &stripe.od_rejections_by_region {
                 *out.entry(region).or_insert(0) += n;
             }
@@ -1232,41 +1200,24 @@ impl StoreRead<'_> {
 
     /// The health record of one region, if a breaker ever reported it.
     pub fn region_health(&self, region: Region) -> Option<RegionHealth> {
-        match &self.view {
-            ReadView::Live { store, .. } => store.region_health(region),
-            ReadView::Snapshot(s) => s.region_health.get(&region).copied(),
-        }
+        self.region_health.get(&region).copied()
     }
 
-    /// The store's durability-loss watermark, if its durable log is
-    /// currently degraded (see [`DataStore::durability_lost`]). A
-    /// snapshot reports the watermark captured at publication.
+    /// The store's durability-loss watermark captured with the
+    /// snapshot, if its durable log was degraded then (see
+    /// [`DataStore::durability_lost`]).
     pub fn durability_lost(&self) -> Option<SimTime> {
-        match &self.view {
-            ReadView::Live { store, .. } => store.durability_lost(),
-            ReadView::Snapshot(s) => s.durability_lost,
-        }
+        self.durability_lost
     }
 
     /// Regions currently marked degraded, in canonical region order.
     pub fn degraded_regions(&self) -> Vec<Region> {
-        let collect = |iter: &mut dyn Iterator<Item = (Region, RegionHealth)>| {
-            let mut out: Vec<Region> = iter.filter(|(_, h)| h.degraded).map(|(r, _)| r).collect();
-            out.sort_unstable();
-            out
-        };
-        match &self.view {
-            ReadView::Live { store, .. } => {
-                let health = store.region_health.read();
-                collect(&mut health.iter().map(|(&r, &h)| (r, h)))
-            }
-            ReadView::Snapshot(s) => collect(&mut s.region_health.iter().map(|(&r, &h)| (r, h))),
-        }
+        degraded_in(&self.region_health)
     }
 
     /// All revocation observations.
     pub fn revocations(&self) -> impl Iterator<Item = &RevocationRecord> + '_ {
-        self.stripes().flat_map(|s| s.revocations.iter())
+        self.stripes.iter().flat_map(|s| s.revocations.iter())
     }
 
     /// The revocation observations of one market, oldest first.
@@ -1282,41 +1233,34 @@ impl StoreRead<'_> {
 
     /// All intrinsic-bid measurements.
     pub fn intrinsic_bids(&self) -> impl Iterator<Item = &IntrinsicBidRecord> + '_ {
-        self.stripes().flat_map(|s| s.intrinsic_bids.iter())
+        self.stripes.iter().flat_map(|s| s.intrinsic_bids.iter())
     }
 
     /// Markets that were probed at least once (a lifetime fact;
     /// compaction does not remove markets).
     pub fn probed_markets(&self) -> impl Iterator<Item = MarketId> + '_ {
-        self.stripes()
+        self.stripes
+            .iter()
             .flat_map(|s| s.probes_by_market.keys().copied())
     }
 
-    /// Total money spent on probes.
+    /// Total money spent on probes as of the capture.
     pub fn total_cost(&self) -> Price {
-        match &self.view {
-            ReadView::Live { store, .. } => store.total_cost(),
-            ReadView::Snapshot(s) => Price::from_micros(s.total_cost_micros),
-        }
+        Price::from_micros(self.total_cost_micros)
     }
 
-    /// Probes suppressed by budget or service limits.
+    /// Probes suppressed by budget or service limits as of the capture.
     pub fn suppressed_probes(&self) -> u64 {
-        match &self.view {
-            ReadView::Live { store, .. } => store.suppressed_probes(),
-            ReadView::Snapshot(s) => s.suppressed_probes,
-        }
+        self.suppressed_probes
     }
 
-    /// Number of probes recorded over the store's lifetime.
+    /// Probes recorded over the store's lifetime as of the capture
+    /// (compaction does not lower this).
     pub fn len(&self) -> usize {
-        match &self.view {
-            ReadView::Live { store, .. } => store.len(),
-            ReadView::Snapshot(s) => s.recorded_probes as usize,
-        }
+        self.recorded_probes as usize
     }
 
-    /// True when no probes have been recorded.
+    /// True when the captured store had recorded no probes.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -1354,7 +1298,7 @@ mod tests {
         let s = DataStore::new();
         assert!(s.record_probe(probe(10, market(0), ProbeOutcome::InsufficientCapacity)));
         assert!(!s.record_probe(probe(20, market(0), ProbeOutcome::InsufficientCapacity)));
-        let r = s.read();
+        let r = s.snapshot(SimTime::ZERO);
         assert!(r.is_unavailable(market(0), ProbeKind::OnDemand));
         assert_eq!(r.intervals().count(), 1);
         assert_eq!(r.intervals_of(market(0), ProbeKind::OnDemand).count(), 1);
@@ -1365,7 +1309,7 @@ mod tests {
         let s = DataStore::new();
         s.record_probe(probe(10, market(0), ProbeOutcome::InsufficientCapacity));
         s.record_probe(probe(310, market(0), ProbeOutcome::Fulfilled));
-        let r = s.read();
+        let r = s.snapshot(SimTime::ZERO);
         assert!(!r.is_unavailable(market(0), ProbeKind::OnDemand));
         let i = *r.intervals().next().unwrap();
         assert_eq!(i.end, Some(SimTime::from_secs(310)));
@@ -1380,7 +1324,7 @@ mod tests {
         let mut sp = probe(20, market(0), ProbeOutcome::CapacityNotAvailable);
         sp.kind = ProbeKind::Spot;
         assert!(s.record_probe(sp));
-        let r = s.read();
+        let r = s.snapshot(SimTime::ZERO);
         assert!(r.is_unavailable(market(0), ProbeKind::OnDemand));
         assert!(r.is_unavailable(market(0), ProbeKind::Spot));
         assert_eq!(r.intervals().count(), 2);
@@ -1397,7 +1341,9 @@ mod tests {
         let mut ptl = probe(20, market(0), ProbeOutcome::PriceTooLow);
         ptl.kind = ProbeKind::Spot;
         s.record_probe(ptl);
-        assert!(s.read().is_unavailable(market(0), ProbeKind::Spot));
+        assert!(s
+            .snapshot(SimTime::ZERO)
+            .is_unavailable(market(0), ProbeKind::Spot));
     }
 
     #[test]
@@ -1407,7 +1353,7 @@ mod tests {
         s.record_probe(probe(20, market(1), ProbeOutcome::Fulfilled));
         s.record_probe(probe(30, market(0), ProbeOutcome::Fulfilled));
         assert_eq!(s.total_cost(), Price::from_dollars(0.3));
-        let r = s.read();
+        let r = s.snapshot(SimTime::ZERO);
         assert_eq!(r.probes_of(market(0)).count(), 2);
         assert_eq!(r.probes_of(market(1)).count(), 1);
         assert_eq!(s.len(), 3);
@@ -1419,7 +1365,7 @@ mod tests {
         s.record_probe(probe(10, market(0), ProbeOutcome::Fulfilled));
         s.record_probe(probe(20, market(0), ProbeOutcome::InsufficientCapacity));
         s.record_probe(probe(30, market(0), ProbeOutcome::ApiLimited));
-        let r = s.read();
+        let r = s.snapshot(SimTime::ZERO);
         let st = r.probe_stats(market(0), ProbeKind::OnDemand);
         assert_eq!(st.informative, 2);
         assert_eq!(st.rejections, 1);
@@ -1435,7 +1381,7 @@ mod tests {
         for t in [10u64, 20, 30, 40, 50] {
             s.record_probe(probe(t, market(0), ProbeOutcome::Fulfilled));
         }
-        let r = s.read();
+        let r = s.snapshot(SimTime::ZERO);
         let hits: Vec<u64> = r
             .probes_between(market(0), SimTime::from_secs(20), SimTime::from_secs(40))
             .map(|p| p.at.as_secs())
@@ -1454,7 +1400,7 @@ mod tests {
         for t in [50u64, 10, 30, 20, 40] {
             s.record_probe(probe(t, market(0), ProbeOutcome::InsufficientCapacity));
         }
-        let r = s.read();
+        let r = s.snapshot(SimTime::ZERO);
         let times: Vec<u64> = r.probes_of(market(0)).map(|p| p.at.as_secs()).collect();
         assert_eq!(times, vec![10, 20, 30, 40, 50]);
         let rejections = r.rejection_times(market(0), ProbeKind::OnDemand);
@@ -1468,7 +1414,10 @@ mod tests {
         s.record_probe(probe(10, market(0), ProbeOutcome::InsufficientCapacity));
         s.record_probe(probe(20, market(1), ProbeOutcome::InsufficientCapacity));
         s.record_probe(probe(30, market(0), ProbeOutcome::Fulfilled));
-        assert_eq!(s.read().od_rejections_by_region()[&Region::UsEast1], 2);
+        assert_eq!(
+            s.snapshot(SimTime::ZERO).od_rejections_by_region()[&Region::UsEast1],
+            2
+        );
     }
 
     #[test]
@@ -1482,9 +1431,9 @@ mod tests {
             ratio: 1.5,
             probed: true,
         });
-        assert_eq!(s.read().spikes().count(), 1);
-        assert_eq!(s.read().spikes_at_or_above(1.0), 1);
-        assert_eq!(s.read().spikes_at_or_above(2.0), 0);
+        assert_eq!(s.snapshot(SimTime::ZERO).spikes().count(), 1);
+        assert_eq!(s.snapshot(SimTime::ZERO).spikes_at_or_above(1.0), 1);
+        assert_eq!(s.snapshot(SimTime::ZERO).spikes_at_or_above(2.0), 0);
     }
 
     #[test]
@@ -1501,7 +1450,7 @@ mod tests {
             }
         });
         assert_eq!(s.len(), 2000);
-        let r = s.read();
+        let r = s.snapshot(SimTime::ZERO);
         for w in 0..4u8 {
             assert_eq!(r.probes_of(market(w)).count(), 500);
             assert_eq!(
@@ -1520,7 +1469,7 @@ mod tests {
         s.record_probe(probe(1800, m, ProbeOutcome::InsufficientCapacity));
         s.record_probe(probe(9000, m, ProbeOutcome::Fulfilled)); // 7200 s closed
         s.record_probe(probe(20_000, m, ProbeOutcome::InsufficientCapacity)); // open
-        let r = s.read();
+        let r = s.snapshot(SimTime::ZERO);
         let q = |a: u64, b: u64| {
             r.unavailable_seconds_in(
                 m,
@@ -1545,7 +1494,7 @@ mod tests {
         s.record_probe(probe(600, m, ProbeOutcome::Fulfilled));
         s.record_probe(probe(4000, m, ProbeOutcome::InsufficientCapacity));
         s.record_probe(probe(4100, m, ProbeOutcome::ApiLimited)); // not informative
-        let r = s.read();
+        let r = s.snapshot(SimTime::ZERO);
         let counts = |a: u64, b: u64| {
             r.probe_counts_around(
                 m,
@@ -1586,7 +1535,7 @@ mod tests {
         }
         let horizon = SimTime::from_secs(15_000);
         let (stats_before, unavail_before, spikes_ge2, rejections) = {
-            let r = s.read();
+            let r = s.snapshot(SimTime::ZERO);
             (
                 r.probe_stats(m, ProbeKind::OnDemand),
                 r.unavailable_seconds_in(
@@ -1604,7 +1553,7 @@ mod tests {
         assert!(dropped.dropped_probes > 0 && dropped.dropped_spikes > 0);
         assert!(s.resident_records() < before_records);
         assert_eq!(s.len(), 200, "logical count survives compaction");
-        let r = s.read();
+        let r = s.snapshot(SimTime::ZERO);
         assert_eq!(r.probe_stats(m, ProbeKind::OnDemand), stats_before);
         assert_eq!(
             r.unavailable_seconds_in(
@@ -1626,7 +1575,11 @@ mod tests {
     fn last_informative_tracks_max_not_last_write() {
         let s = DataStore::new();
         let m = market(0);
-        assert_eq!(s.read().last_informative_at(m, ProbeKind::OnDemand), None);
+        assert_eq!(
+            s.snapshot(SimTime::ZERO)
+                .last_informative_at(m, ProbeKind::OnDemand),
+            None
+        );
         s.record_probe(probe(100, m, ProbeOutcome::Fulfilled));
         s.record_probe(probe(500, m, ProbeOutcome::InsufficientCapacity));
         // ApiLimited is not informative: it must not advance freshness.
@@ -1634,10 +1587,15 @@ mod tests {
         // An out-of-order arrival must not move freshness backwards.
         s.record_probe(probe(300, m, ProbeOutcome::Fulfilled));
         assert_eq!(
-            s.read().last_informative_at(m, ProbeKind::OnDemand),
+            s.snapshot(SimTime::ZERO)
+                .last_informative_at(m, ProbeKind::OnDemand),
             Some(SimTime::from_secs(500))
         );
-        assert_eq!(s.read().last_informative_at(m, ProbeKind::Spot), None);
+        assert_eq!(
+            s.snapshot(SimTime::ZERO)
+                .last_informative_at(m, ProbeKind::Spot),
+            None
+        );
     }
 
     #[test]
@@ -1648,14 +1606,11 @@ mod tests {
         s.mark_region_degraded(r, SimTime::from_secs(1000));
         // Re-marking while degraded is idempotent.
         s.mark_region_degraded(r, SimTime::from_secs(1500));
-        {
-            let read = s.read();
-            assert_eq!(read.degraded_regions(), vec![r]);
-            let h = read.region_health(r).unwrap();
-            assert!(h.degraded);
-            assert_eq!(h.trips, 1);
-            assert_eq!(h.since, SimTime::from_secs(1000));
-        }
+        assert_eq!(s.degraded_regions(), vec![r]);
+        let h = s.snapshot(SimTime::ZERO).region_health(r).unwrap();
+        assert!(h.degraded);
+        assert_eq!(h.trips, 1);
+        assert_eq!(h.since, SimTime::from_secs(1000));
         s.mark_region_recovered(r, SimTime::from_secs(4000));
         let h = s.region_health(r).unwrap();
         assert!(!h.degraded);
@@ -1666,7 +1621,8 @@ mod tests {
         let h = s.region_health(r).unwrap();
         assert_eq!(h.trips, 2);
         assert_eq!(h.degraded_secs, 3600);
-        assert!(s.read().degraded_regions().is_empty());
+        assert!(s.degraded_regions().is_empty());
+        assert!(s.snapshot(SimTime::ZERO).degraded_regions().is_empty());
         // Recovering a never-degraded region is a no-op.
         s.mark_region_recovered(Region::EuWest1, SimTime::from_secs(1));
         assert_eq!(s.region_health(Region::EuWest1), None);

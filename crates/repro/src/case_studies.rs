@@ -7,7 +7,7 @@ use cloud_sim::ids::MarketId;
 use cloud_sim::time::{SimDuration, SimTime};
 use spotlight_core::probe::ProbeKind;
 use spotlight_core::query::SpotLightQuery;
-use spotlight_core::store::StoreRead;
+use spotlight_core::snapshot::StoreSnapshot;
 use spotlight_derivative::series::{AvailabilityTimeline, PriceSeries};
 use spotlight_derivative::spotcheck::{replay, SpotCheckConfig};
 use spotlight_derivative::spoton::{mean_completion_hours, run_trials, JobSpec};
@@ -15,7 +15,7 @@ use std::path::Path;
 
 /// Builds the measured on-demand unavailability timeline of one market
 /// from SpotLight's intervals (open intervals clamp to the span end).
-fn od_timeline(store: &StoreRead<'_>, market: MarketId, end: SimTime) -> AvailabilityTimeline {
+fn od_timeline(store: &StoreSnapshot, market: MarketId, end: SimTime) -> AvailabilityTimeline {
     AvailabilityTimeline::from_intervals(
         store
             .intervals()
@@ -28,12 +28,8 @@ fn od_timeline(store: &StoreRead<'_>, market: MarketId, end: SimTime) -> Availab
 /// Picks the SpotLight-informed fallback market for `market` and returns
 /// its measured timeline (an empty timeline when the chosen fallback has
 /// no measured unavailability at all — the ideal case).
-fn informed_timeline(
-    store: &StoreRead<'_>,
-    study: &Study,
-    market: MarketId,
-) -> (Option<MarketId>, AvailabilityTimeline) {
-    let query = SpotLightQuery::new(store, study.start, study.end);
+fn informed_timeline(study: &Study, market: MarketId) -> (Option<MarketId>, AvailabilityTimeline) {
+    let query = SpotLightQuery::new(&study.db, study.start, study.end);
     let candidates: Vec<MarketId> = query
         .observed_markets()
         .into_iter()
@@ -41,7 +37,7 @@ fn informed_timeline(
         .collect();
     let picks = query.uncorrelated_fallbacks(market, &candidates, SimDuration::hours(1), 1);
     match picks.first() {
-        Some(&fallback) => (Some(fallback), od_timeline(store, fallback, study.end)),
+        Some(&fallback) => (Some(fallback), od_timeline(&study.db, fallback, study.end)),
         None => (None, AvailabilityTimeline::default()),
     }
 }
@@ -50,7 +46,7 @@ fn informed_timeline(
 /// same-market fallback vs SpotLight-informed fallback.
 pub fn fig_6_1(study: &Study, out: &Path) {
     banner("Figure 6.1 — SpotCheck availability (naive vs SpotLight-informed)");
-    let store = study.store.read();
+    let store = &study.db;
     let config = SpotCheckConfig::default();
     let mut table = Table::new(vec![
         "market",
@@ -62,8 +58,8 @@ pub fn fig_6_1(study: &Study, out: &Path) {
     for (label, market) in case_study_markets() {
         let prices = PriceSeries::new(study.cloud.trace().history(market).to_vec());
         let od_price = study.cloud.catalog().od_price(market);
-        let naive_timeline = od_timeline(&store, market, study.end);
-        let (fallback, informed) = informed_timeline(&store, study, market);
+        let naive_timeline = od_timeline(store, market, study.end);
+        let (fallback, informed) = informed_timeline(study, market);
         let naive = replay(
             &prices,
             od_price,
@@ -100,7 +96,7 @@ pub fn fig_6_1(study: &Study, out: &Path) {
 /// representative one-hour job), naive vs SpotLight-informed.
 pub fn fig_6_2(study: &Study, out: &Path) {
     banner("Figure 6.2 — SpotOn running time (naive vs SpotLight-informed)");
-    let store = study.store.read();
+    let store = &study.db;
     let job = JobSpec::representative();
     let retry = SimDuration::from_secs(300);
     let trials = 100;
@@ -108,8 +104,8 @@ pub fn fig_6_2(study: &Study, out: &Path) {
     for (label, market) in case_study_markets() {
         let prices = PriceSeries::new(study.cloud.trace().history(market).to_vec());
         let od_price = study.cloud.catalog().od_price(market);
-        let naive_timeline = od_timeline(&store, market, study.end);
-        let (_, informed) = informed_timeline(&store, study, market);
+        let naive_timeline = od_timeline(store, market, study.end);
+        let (_, informed) = informed_timeline(study, market);
         let span_end = study.end - SimDuration::hours(12); // room for long jobs
         let naive = run_trials(
             &job,

@@ -8,8 +8,9 @@ use cloud_sim::engine::Engine;
 use cloud_sim::ids::{Az, MarketId, Platform, Region};
 use cloud_sim::time::{SimDuration, SimTime};
 use spotlight_core::policy::{PolicyConfig, SpotCheckConfig, SpotLightConfig};
+use spotlight_core::snapshot::StoreSnapshot;
 use spotlight_core::spotlight::SpotLight;
-use spotlight_core::store::{shared_store, SharedStore};
+use spotlight_core::store::shared_store;
 
 /// Parameters of the study run.
 #[derive(Debug, Clone, Copy)]
@@ -36,12 +37,13 @@ impl Default for StudyConfig {
 }
 
 /// The completed study: the cloud (for traces and the catalog) and
-/// SpotLight's probe database.
+/// one snapshot of SpotLight's probe database, taken when the run
+/// ended, that every figure reads.
 pub struct Study {
     /// The simulated cloud after the run.
     pub cloud: Cloud,
-    /// SpotLight's database.
-    pub store: SharedStore,
+    /// SpotLight's database as of `end`.
+    pub db: StoreSnapshot,
     /// Measurement span start.
     pub start: SimTime,
     /// Measurement span end.
@@ -174,7 +176,7 @@ pub fn run_study(cfg: &StudyConfig) -> Study {
 
     Study {
         cloud,
-        store,
+        db: store.snapshot(end),
         start,
         end,
     }

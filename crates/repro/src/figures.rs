@@ -43,10 +43,10 @@ fn ratio_bucket_label(edges: &[f64], i: usize) -> String {
 pub fn fig_5_4(study: &Study, out: &Path) {
     banner("Figure 5.4 — P(on-demand unavailable) vs spot price spike size (global)");
     let windows = [900u64, 1200, 1800, 2400, 3600, 7200];
-    let store = study.store.read();
+    let store = &study.db;
     let curves: Vec<_> = windows
         .iter()
-        .map(|&w| spike_unavailability(&store, SimDuration::from_secs(w), None))
+        .map(|&w| spike_unavailability(store, SimDuration::from_secs(w), None))
         .collect();
 
     let mut header = vec!["spike".to_string(), "trials@900s".to_string()];
@@ -67,8 +67,8 @@ pub fn fig_5_4(study: &Study, out: &Path) {
 /// Figure 5.5: share of rejected probes per region vs spike bucket.
 pub fn fig_5_5(study: &Study, out: &Path) {
     banner("Figure 5.5 — share of rejected probes per region vs spike size");
-    let store = study.store.read();
-    let (edges, shares) = regional_rejection_share(&store);
+    let store = &study.db;
+    let (edges, shares) = regional_rejection_share(store);
     let mut header = vec!["region".to_string()];
     header.extend(edges.iter().map(|&e| threshold_label(e)));
     let mut table = Table::new(header);
@@ -96,10 +96,10 @@ pub fn fig_5_6(study: &Study, out: &Path) {
         Region::ApSoutheast2,
         Region::SaEast1,
     ];
-    let store = study.store.read();
+    let store = &study.db;
     let curves: Vec<_> = regions
         .iter()
-        .map(|&r| spike_unavailability(&store, SimDuration::from_secs(900), Some(r)))
+        .map(|&r| spike_unavailability(store, SimDuration::from_secs(900), Some(r)))
         .collect();
     let mut header = vec!["spike".to_string()];
     header.extend(regions.iter().map(|r| r.name().to_string()));
@@ -120,8 +120,8 @@ pub fn fig_5_6(study: &Study, out: &Path) {
 /// markets.
 pub fn fig_5_7(study: &Study, out: &Path) {
     banner("Figure 5.7 — rejected probes: price-spike vs related-market triggers");
-    let store = study.store.read();
-    let (edges, by_spike, by_related) = rejection_attribution(&store);
+    let store = &study.db;
+    let (edges, by_spike, by_related) = rejection_attribution(store);
     let mut table = Table::new(vec!["spike", "by_price_spikes", "by_related_markets"]);
     let mut total_spike = 0.0;
     let mut buckets = 0u32;
@@ -153,10 +153,10 @@ pub fn fig_5_7(study: &Study, out: &Path) {
 pub fn fig_5_8(study: &Study, out: &Path) {
     banner("Figure 5.8 — P(related on-demand in another zone unavailable) vs spike size");
     let windows = [300u64, 600, 900, 1800, 2400, 3600];
-    let store = study.store.read();
+    let store = &study.db;
     let curves: Vec<_> = windows
         .iter()
-        .map(|&w| cross_az_unavailability(&store, SimDuration::from_secs(w)))
+        .map(|&w| cross_az_unavailability(store, SimDuration::from_secs(w)))
         .collect();
     let mut header = vec!["spike".to_string(), "trials".to_string()];
     header.extend(windows.iter().map(|w| format!("w<={w}s")));
@@ -182,8 +182,8 @@ pub fn fig_5_8(study: &Study, out: &Path) {
 /// Figure 5.9: CDF of measured unavailability durations.
 pub fn fig_5_9(study: &Study, out: &Path) {
     banner("Figure 5.9 — CDF of on-demand unavailability durations");
-    let store = study.store.read();
-    let cdf = duration_cdf(&store);
+    let store = &study.db;
+    let cdf = duration_cdf(store);
     if cdf.is_empty() {
         println!("  no closed unavailability intervals measured");
         return;
@@ -221,11 +221,11 @@ pub fn fig_5_10(study: &Study, out: &Path) {
         Region::ApSoutheast2,
         Region::SaEast1,
     ];
-    let store = study.store.read();
-    let all = spot_cna_curve(&store, None);
+    let store = &study.db;
+    let all = spot_cna_curve(store, None);
     let per_region: Vec<_> = regions
         .iter()
-        .map(|&r| spot_cna_curve(&store, Some(r)))
+        .map(|&r| spot_cna_curve(store, Some(r)))
         .collect();
     let edges = spot_ratio_buckets();
     let mut header = vec!["spot price".to_string()];
@@ -248,8 +248,8 @@ pub fn fig_5_10(study: &Study, out: &Path) {
 /// Figure 5.11: distribution of spot insufficiency across regions.
 pub fn fig_5_11(study: &Study, out: &Path) {
     banner("Figure 5.11 — spot capacity-not-available distribution across regions");
-    let store = study.store.read();
-    let (edges, shares) = spot_cna_distribution(&store);
+    let store = &study.db;
+    let (edges, shares) = spot_cna_distribution(store);
     let mut header = vec!["spot price".to_string()];
     header.extend(Region::ALL.iter().map(|r| r.name().to_string()));
     let mut table = Table::new(header);
@@ -279,8 +279,8 @@ pub fn fig_5_12(study: &Study, out: &Path) {
     banner("Figure 5.12 — on-demand vs spot related-market unavailability");
     let windows = [300u64, 900, 1800, 2400, 3600];
     let durations: Vec<SimDuration> = windows.iter().map(|&w| SimDuration::from_secs(w)).collect();
-    let store = study.store.read();
-    let result = cross_market_unavailability(&store, &durations);
+    let store = &study.db;
+    let result = cross_market_unavailability(store, &durations);
     let mut header = vec!["window".to_string()];
     header.extend(CrossRelation::ALL.iter().map(|r| r.label().to_string()));
     let mut table = Table::new(header);

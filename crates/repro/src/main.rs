@@ -91,8 +91,7 @@ fn with_study(args: &Args, f: impl FnOnce(&Study, &std::path::Path)) {
     let t0 = std::time::Instant::now();
     let study = run_study(&args.config);
     {
-        // One read snapshot for the whole summary.
-        let db = study.store.read();
+        let db = &study.db;
         eprintln!(
             "study done in {:.1}s: {} probes, {} spikes, {} intervals, cost {}",
             t0.elapsed().as_secs_f64(),
@@ -105,7 +104,7 @@ fn with_study(args: &Args, f: impl FnOnce(&Study, &std::path::Path)) {
         // (`--days 0` yields an empty span, which the query interface
         // rejects — skip the summary rather than crash.)
         if study.end > study.start {
-            let query = spotlight_core::query::SpotLightQuery::new(&db, study.start, study.end);
+            let query = spotlight_core::query::SpotLightQuery::new(db, study.start, study.end);
             let mut outages = Vec::new();
             query.unavailability_durations_into(
                 spotlight_core::probe::ProbeKind::OnDemand,

@@ -10,7 +10,7 @@ use std::path::Path;
 /// with what the study actually measured.
 pub fn table_2_1(study: &Study, out: &Path) {
     banner("Table 2.1 — contract cost and characteristic tradeoffs");
-    let store = study.store.read();
+    let store = &study.db;
 
     // Measured on-demand obtainability (probe success rate).
     let mut od_probes = 0u64;

@@ -133,7 +133,7 @@ pub fn fig_5_1b(study: &Study, out: &Path) {
 pub fn fig_5_2(study: &Study, out: &Path) {
     banner("Figure 5.2 — intrinsic bid price vs published spot price (BidSpread)");
     let market = fig_5_2_market();
-    let store = study.store.read();
+    let store = &study.db;
     let records: Vec<_> = store
         .intrinsic_bids()
         .filter(|r| r.market == market)

@@ -23,7 +23,8 @@
 //!    [`spotlight_core::StoreSnapshot`]s published by ingest through a
 //!    [`spotlight_core::SnapshotHub`]; the worker's cached `Arc` makes
 //!    the hot path one atomic generation check. Health surfaces reach
-//!    the live store through a `Weak` handle only.
+//!    the live store through a `Weak` handle only, and read its
+//!    durability and region-health state without a stripe lock.
 //! 4. **Respond** ([`server`]) — a fixed worker pool serves
 //!    keep-alive connections with pipelining (all buffered requests
 //!    answered in one write). Each connection runs under

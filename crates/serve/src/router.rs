@@ -1,12 +1,14 @@
 //! Request routing: URL/query parsing, market-id wire format, and the
 //! JSON endpoint handlers.
 //!
-//! Hot-path endpoints (`/v1/*`) answer exclusively from the current
+//! Every query endpoint (`/v1/*`) answers from the current
 //! [`StoreSnapshot`] via the worker's [`SnapshotReader`] — no store
 //! locks, no contention with ingest. The health surfaces (`/healthz`,
-//! `/readyz`, `/statz`) peek at the *live* store (durability mode,
-//! degraded regions) through a `Weak` handle so a drained server can
-//! release the store for [`spotlight_core::DataStore::close`].
+//! `/readyz`) add the *live* store's durability mode, loss watermark
+//! and degraded regions, read through a `Weak` handle so a drained
+//! server can release the store for [`spotlight_core::DataStore::close`].
+//! Those reads take only the store's durability and region-health
+//! state, never a stripe lock, so health polling never stalls ingest.
 //!
 //! Markets travel as `az/type/platform` with short platform names
 //! (`us-east-1a/c3.large/linux`) because the EC2 product descriptions
@@ -258,8 +260,7 @@ fn availability(query: &str, state: &ServiceState, reader: &mut SnapshotReader) 
         Ok(span) => span,
         Err(e) => return e,
     };
-    let read = snapshot.read();
-    let q = SpotLightQuery::new(&read, start, end);
+    let q = SpotLightQuery::new(snapshot, start, end);
     let (stats, fresh) = q.availability_qualified(market, kind);
     let mut body = String::new();
     json::object(&mut body, |o| {
@@ -285,8 +286,7 @@ fn freshness(query: &str, state: &ServiceState, reader: &mut SnapshotReader) -> 
     };
     let snapshot = reader.current(&state.hub);
     let end = snapshot.as_of().max(SimTime::from_secs(1));
-    let read = snapshot.read();
-    let q = SpotLightQuery::new(&read, SimTime::ZERO, end);
+    let q = SpotLightQuery::new(snapshot, SimTime::ZERO, end);
     let fresh = q.freshness(market, kind);
     let mut body = String::new();
     json::object(&mut body, |o| {
@@ -326,8 +326,7 @@ fn spike_rates(query: &str, state: &ServiceState, reader: &mut SnapshotReader) -
         Ok(span) => span,
         Err(e) => return e,
     };
-    let read = snapshot.read();
-    let q = SpotLightQuery::new(&read, start, end);
+    let q = SpotLightQuery::new(snapshot, start, end);
     let rates = q.spike_rates(&thresholds, window);
     let mut body = String::new();
     json::object(&mut body, |o| {
@@ -352,13 +351,12 @@ fn bid_spread(query: &str, state: &ServiceState, reader: &mut SnapshotReader) ->
         Err(e) => return e,
     };
     let snapshot = reader.current(&state.hub);
-    let read = snapshot.read();
     let mut observations = 0u64;
     let mut attempts_total = 0u64;
     let mut markup_total = 0.0f64;
     let mut markup_n = 0u64;
     let mut latest = None;
-    for rec in read.intrinsic_bids().filter(|r| r.market == market) {
+    for rec in snapshot.intrinsic_bids().filter(|r| r.market == market) {
         observations += 1;
         attempts_total += u64::from(rec.attempts);
         if rec.published != cloud_sim::price::Price::ZERO {
@@ -419,10 +417,9 @@ fn advisor_top(query: &str, state: &ServiceState, reader: &mut SnapshotReader) -
         Ok(span) => span,
         Err(e) => return e,
     };
-    let read = snapshot.read();
-    let mut candidates: Vec<MarketId> = read.probed_markets().collect();
+    let mut candidates: Vec<MarketId> = snapshot.probed_markets().collect();
     candidates.sort_unstable();
-    let q = SpotLightQuery::new(&read, start, end);
+    let q = SpotLightQuery::new(snapshot, start, end);
     let top = q.top_available_markets(&candidates, region, min_probes, n);
     let mut body = String::new();
     json::object(&mut body, |o| {
@@ -461,10 +458,9 @@ fn advisor_fallbacks(
     };
     let snapshot = reader.current(&state.hub);
     let end = snapshot.as_of().max(SimTime::from_secs(1));
-    let read = snapshot.read();
-    let mut candidates: Vec<MarketId> = read.probed_markets().collect();
+    let mut candidates: Vec<MarketId> = snapshot.probed_markets().collect();
     candidates.sort_unstable();
-    let q = SpotLightQuery::new(&read, SimTime::ZERO, end);
+    let q = SpotLightQuery::new(snapshot, SimTime::ZERO, end);
     let fallbacks = q.uncorrelated_fallbacks(market, &candidates, window, n);
     let mut body = String::new();
     json::object(&mut body, |o| {
@@ -482,27 +478,34 @@ fn advisor_fallbacks(
 
 // --------------------------------------------------------------- health
 
+/// The durability block `/healthz` and `/readyz` both print. Reads
+/// only the store's durability state and its region-health lock, never
+/// a stripe lock, so health polling does not stall ingest.
+fn write_durability(o: &mut json::Object<'_>, store: &DataStore) {
+    match store.durability_mode() {
+        Some(mode) => o.value("durability_mode", &mode),
+        None => o.str("durability_mode", "in-memory"),
+    }
+    o.opt_u64(
+        "durability_lost_secs",
+        store.durability_lost().map(|t| t.as_secs()),
+    );
+    o.array("degraded_regions", |a| {
+        for region in store.degraded_regions() {
+            a.str(region.name());
+        }
+    });
+}
+
 fn write_store_health(o: &mut json::Object<'_>, store: &Weak<DataStore>) {
     match store.upgrade() {
         Some(store) => o.object("store", |o| {
             o.bool("available", true);
-            match store.durability_mode() {
-                Some(mode) => o.value("durability_mode", &mode),
-                None => o.str("durability_mode", "in-memory"),
-            }
-            o.opt_u64(
-                "durability_lost_secs",
-                store.durability_lost().map(|t| t.as_secs()),
-            );
+            write_durability(o, &store);
             match store.durability_stats() {
                 Some(stats) => o.value("durability", &stats),
                 None => o.null("durability"),
             }
-            o.array("degraded_regions", |a| {
-                for region in store.read().degraded_regions() {
-                    a.str(region.name());
-                }
-            });
         }),
         None => o.object("store", |o| o.bool("available", false)),
     }
@@ -543,19 +546,7 @@ fn readyz(state: &ServiceState) -> RouteOutcome {
     let mut body = String::new();
     json::object(&mut body, |o| {
         o.bool("ready", true);
-        match store.durability_mode() {
-            Some(mode) => o.value("durability_mode", &mode),
-            None => o.str("durability_mode", "in-memory"),
-        }
-        o.opt_u64(
-            "durability_lost_secs",
-            store.durability_lost().map(|t| t.as_secs()),
-        );
-        o.array("degraded_regions", |a| {
-            for region in store.read().degraded_regions() {
-                a.str(region.name());
-            }
-        });
+        write_durability(o, &store);
     });
     ok(body)
 }
@@ -584,6 +575,37 @@ mod tests {
         assert!(parse_market("nope").is_err());
         assert!(parse_market("us-east-1a/c3.large/os2").is_err());
         assert!(parse_market("us-east-1a/c3.large/linux/extra").is_err());
+    }
+
+    #[test]
+    fn health_surfaces_read_degraded_regions_from_the_live_store() {
+        let store = Arc::new(DataStore::new());
+        let state = ServiceState {
+            hub: Arc::new(SnapshotHub::new(store.snapshot(SimTime::ZERO))),
+            store: Arc::downgrade(&store),
+            stats: Arc::default(),
+            draining: Arc::default(),
+            retry_after_secs: 1,
+        };
+        // Marked after the only publish: the block must come from the
+        // live store, not from the snapshot.
+        store.mark_region_degraded(Region::EuWest1, SimTime::from_secs(5));
+        let mut reader = SnapshotReader::new(&state.hub);
+        for path in ["/healthz", "/readyz"] {
+            let out = route(path, "", &state, &mut reader);
+            assert_eq!(out.status, 200, "{path}: {}", out.body);
+            for field in [
+                r#""durability_mode":"in-memory""#,
+                r#""durability_lost_secs":null"#,
+                r#""degraded_regions":["eu-west-1"]"#,
+            ] {
+                assert!(
+                    out.body.contains(field),
+                    "{path} lacks {field}: {}",
+                    out.body
+                );
+            }
+        }
     }
 
     #[test]

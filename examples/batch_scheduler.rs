@@ -67,7 +67,7 @@ fn main() {
     let chosen = markets[names.iter().position(|n| n == chosen_name).unwrap()];
 
     // Replay the job 100 times against the measured availability data.
-    let db = store.read();
+    let db = store.snapshot(end);
     let query = SpotLightQuery::new(&db, start, end);
     let prices = PriceSeries::new(cloud.trace().history(chosen).to_vec());
     let od_price = cloud.catalog().od_price(chosen);

@@ -60,7 +60,7 @@ fn main() {
         println!("  {region} spent {secs}s degraded (breaker open)");
     }
 
-    let db = store.read();
+    let db = store.snapshot(cloud.now());
     println!(
         "database manager recorded {} probes, {} spikes, {} unavailability intervals",
         db.len(),

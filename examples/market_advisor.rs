@@ -35,7 +35,7 @@ fn main() {
     engine.add_agent(Box::new(SpotLight::new(config, store.clone())));
     engine.run_until(end);
 
-    let db = store.read();
+    let db = store.snapshot(end);
     let query = SpotLightQuery::new(&db, start, end);
 
     // "Top server types with the longest availability" — Chapter 3's

@@ -34,7 +34,7 @@ fn main() {
     engine.run_until(end);
 
     // 3. Query the information service.
-    let db = store.read();
+    let db = store.snapshot(end);
     let query = SpotLightQuery::new(&db, start, end);
     println!(
         "SpotLight collected {} probes ({} spikes, total cost {})",

@@ -40,7 +40,7 @@ fn main() {
     engine.run_until(end);
     let cloud = engine.into_parts().0;
 
-    let db = store.read();
+    let db = store.snapshot(end);
     let query = SpotLightQuery::new(&db, start, end);
     let markets: Vec<_> = cloud.catalog().markets().to_vec();
 

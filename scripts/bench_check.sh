@@ -20,7 +20,18 @@
 #   scripts/bench_check.sh                 # fresh run vs latest BENCH_PR<N>.json
 #   scripts/bench_check.sh BASELINE.json   # fresh run vs a chosen baseline
 #   scripts/bench_check.sh BASELINE.json FRESH.json   # compare two snapshots
+#   scripts/bench_check.sh --rev <git-rev> # same-host A/B (see below)
 #   TOLERANCE=1.5 scripts/bench_check.sh   # loosen the gate
+#
+# Same-host A/B (`--rev`): a committed BENCH_PR<N>.json may come from
+# another machine, so its medians can differ by more than the tolerance
+# with no code change. `--rev` instead checks out <git-rev> in a
+# detached `git worktree` under target/, runs that rev's own
+# scripts/bench_snapshot.sh there, then runs this tree's snapshot right
+# after it on the same host, and compares the two with the same gate
+# (tracked benches, tolerance, isolated re-run, pool ratio). The
+# committed BENCH_PR<N>.json files are neither read nor written, and
+# the worktree (with its build output) is removed on exit.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -56,24 +67,58 @@ SUITES=(substrate store analysis policy)
 # does not change that (parked workers still need real cores to help).
 TRACKED='^(tick|tick_component|store_query_100k|store_ingest_contended|store_ingest_durable|store_window_sweep_1m|recover_1m)/|^tick_threads/1$|^pool_dispatch/pool_scope'
 
-BASELINE="${1:-}"
-if [ -z "$BASELINE" ]; then
-    BASELINE="$(ls BENCH_PR*.json 2>/dev/null | sort -V | tail -n1 || true)"
-fi
-if [ -z "$BASELINE" ] || [ ! -f "$BASELINE" ]; then
-    echo "bench_check: no baseline BENCH_PR<N>.json found" >&2
-    exit 2
+REV=""
+if [ "${1:-}" = "--rev" ]; then
+    REV="${2:-}"
+    if [ -z "$REV" ] || [ "$#" -gt 2 ]; then
+        echo "usage: scripts/bench_check.sh --rev <git-rev>" >&2
+        exit 2
+    fi
 fi
 
 SCRATCH="$(mktemp -d /tmp/bench_check.XXXXXX)"
-trap 'rm -rf "$SCRATCH"' EXIT
+WORKTREE=""
+cleanup() {
+    if [ -n "$WORKTREE" ]; then
+        git worktree remove --force "$WORKTREE" >/dev/null 2>&1 || rm -rf "$WORKTREE"
+        git worktree prune
+    fi
+    rm -rf "$SCRATCH"
+}
+trap cleanup EXIT
 
-FRESH="${2:-}"
 FRESH_GENERATED=0
-if [ -z "$FRESH" ]; then
+if [ -n "$REV" ]; then
+    if ! SHA="$(git rev-parse --verify --quiet "${REV}^{commit}")"; then
+        echo "bench_check: unknown git rev '$REV'" >&2
+        exit 2
+    fi
+    WORKTREE="target/bench-check-${SHA:0:12}"
+    rm -rf "$WORKTREE"
+    git worktree prune
+    git worktree add --detach "$WORKTREE" "$SHA" >&2
+    BASELINE="$SCRATCH/base.json"
     FRESH="$SCRATCH/fresh.json"
     FRESH_GENERATED=1
+    echo ">> baseline snapshot: $REV ($SHA) in $WORKTREE" >&2
+    (cd "$WORKTREE" && scripts/bench_snapshot.sh "$BASELINE") >&2
+    echo ">> candidate snapshot: working tree" >&2
     scripts/bench_snapshot.sh "$FRESH" >&2
+else
+    BASELINE="${1:-}"
+    if [ -z "$BASELINE" ]; then
+        BASELINE="$(ls BENCH_PR*.json 2>/dev/null | sort -V | tail -n1 || true)"
+    fi
+    if [ -z "$BASELINE" ] || [ ! -f "$BASELINE" ]; then
+        echo "bench_check: no baseline BENCH_PR<N>.json found" >&2
+        exit 2
+    fi
+    FRESH="${2:-}"
+    if [ -z "$FRESH" ]; then
+        FRESH="$SCRATCH/fresh.json"
+        FRESH_GENERATED=1
+        scripts/bench_snapshot.sh "$FRESH" >&2
+    fi
 fi
 
 # Extract "name median_ns" pairs from a snapshot (one bench per line in

@@ -53,7 +53,7 @@ fn windowed_budget_bounds_total_spend() {
             limit: Some(limit),
         },
     );
-    let s = store.read();
+    let s = store.snapshot(SimTime::ZERO);
     // Spend can never exceed limit × windows (the estimate check runs
     // before each probe; one extra window covers warm-up alignment).
     let windows = days * 24 / 6 + 1;
@@ -83,7 +83,7 @@ fn calibration_then_deployment_fits_budget() {
         },
         BudgetConfig::default(),
     );
-    let s = observe_store.read();
+    let s = observe_store.snapshot(SimTime::ZERO);
     let query = SpotLightQuery::new(&s, start, end);
     let rates = query.spike_rates(&[0.3, 0.5, 1.0, 2.0, 4.0], SimDuration::days(1));
     drop(s);
@@ -113,7 +113,7 @@ fn calibration_then_deployment_fits_budget() {
             limit: Some(budget_per_day),
         },
     );
-    let d = deploy_store.read();
+    let d = deploy_store.snapshot(SimTime::ZERO);
     assert!(
         d.total_cost() <= budget_per_day.times(4),
         "deployment must fit its daily budget (+1 window slack): {}",
@@ -135,7 +135,7 @@ fn exhausted_windows_stop_probing_until_next_window() {
             limit: Some(Price::from_dollars(0.2)),
         },
     );
-    let s = store.read();
+    let s = store.snapshot(SimTime::ZERO);
     // Probes must appear in more than one window (the budget resets).
     let mid = start + SimDuration::days(1);
     let early = s.probes().filter(|p| p.at < mid).count();

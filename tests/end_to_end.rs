@@ -41,7 +41,7 @@ fn run(
 #[test]
 fn deterministic_end_to_end_replay() {
     let summarize = |store: &SharedStore| {
-        let s = store.read();
+        let s = store.snapshot(SimTime::ZERO);
         (
             s.len(),
             s.spikes().count(),
@@ -57,7 +57,7 @@ fn deterministic_end_to_end_replay() {
 #[test]
 fn probe_records_are_well_formed() {
     let (cloud, store, start, end) = run(3, 5, 0.5);
-    let s = store.read();
+    let s = store.snapshot(SimTime::ZERO);
     assert!(!s.is_empty(), "expected probes over 3 volatile days");
     for p in s.probes() {
         assert!(p.at >= start && p.at <= end, "probe outside study span");
@@ -87,7 +87,7 @@ fn measured_unavailability_matches_ground_truth_direction() {
     // Markets the simulator reports as shorter on capacity (ground
     // truth) must also look less available through SpotLight's probes.
     let (cloud, store, start, end) = run(5, 13, 0.4);
-    let s = store.read();
+    let s = store.snapshot(SimTime::ZERO);
     let query = SpotLightQuery::new(&s, start, end);
 
     // Ground truth: total shortage seconds per pool from the trace.
@@ -125,7 +125,7 @@ fn measured_unavailability_matches_ground_truth_direction() {
 #[test]
 fn analysis_functions_work_on_real_study_output() {
     let (_, store, _, _) = run(4, 21, 0.4);
-    let s = store.read();
+    let s = store.snapshot(SimTime::ZERO);
     let curve = spike_unavailability(&s, SimDuration::from_secs(900), None);
     assert_eq!(curve.len(), 11, "thresholds >0 .. >10x");
     assert!(curve[0].trials > 0, "the >0 bucket has trials");
@@ -181,6 +181,6 @@ fn agents_compose_on_one_engine() {
     let (_, mut agents) = engine.into_parts();
     let _ = agents.remove(counter_idx);
     // Both agents ran without interfering; SpotLight still collected.
-    let db = store.read();
+    let db = store.snapshot(SimTime::ZERO);
     assert!(!db.is_empty() || db.spikes().next().is_none());
 }

@@ -35,7 +35,7 @@ fn live_store_is_structurally_sound() {
             ..LiveConfig::default()
         },
     );
-    let s = store.read();
+    let s = store.snapshot(SimTime::ZERO);
     assert_eq!(report.probes, s.len());
     for p in s.probes() {
         assert!(cloud.catalog().market_exists(p.market));
@@ -113,7 +113,7 @@ fn live_mode_respects_service_limits() {
     // Probes that did exhaust their retry budget (if any) were recorded
     // as ApiLimited, which carries no availability information — they
     // must never have opened an unavailability interval.
-    let s = store.read();
+    let s = store.snapshot(SimTime::ZERO);
     for p in s.probes() {
         if p.outcome == ProbeOutcome::ApiLimited {
             assert!(!p.outcome.is_unavailable());
@@ -176,7 +176,7 @@ fn chaos_soak_degrades_gracefully_and_recovers() {
     let degraded = report.degraded_secs.get(&hit).copied().unwrap_or(0);
     assert!(degraded > 0, "degraded seconds must be accounted to {hit}");
 
-    let s = store.read();
+    let s = store.snapshot(SimTime::ZERO);
     // Probes with no availability information were recorded as such
     // (retry budgets exhausted during the 12-hour outage).
     let limited = s

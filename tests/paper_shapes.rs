@@ -45,7 +45,7 @@ fn higher_spikes_mean_more_unavailability() {
     // lower than P(unavailable | spike >= lo) by a wide margin, and the
     // top populated threshold must exceed the bottom one.
     let (store, _, _) = study(7, 12);
-    let s = store.read();
+    let s = store.snapshot(SimTime::ZERO);
     let curve = spike_unavailability(&s, SimDuration::from_secs(1800), None);
     let populated: Vec<_> = curve
         .iter()
@@ -68,7 +68,7 @@ fn higher_spikes_mean_more_unavailability() {
 #[test]
 fn larger_windows_catch_more_unavailability() {
     let (store, _, _) = study(11, 10);
-    let s = store.read();
+    let s = store.snapshot(SimTime::ZERO);
     let short = spike_unavailability(&s, SimDuration::from_secs(900), None);
     let long = spike_unavailability(&s, SimDuration::from_secs(7200), None);
     // At the base threshold, the longer window's probability dominates.
@@ -92,7 +92,7 @@ fn under_provisioned_region_is_less_available() {
     // testbed carries both; sa-east must show a higher conditional
     // unavailability at the base threshold.
     let (store, _, _) = study(13, 14);
-    let s = store.read();
+    let s = store.snapshot(SimTime::ZERO);
     let use1 = spike_unavailability(&s, SimDuration::from_secs(1800), Some(Region::UsEast1));
     let sae1 = spike_unavailability(&s, SimDuration::from_secs(1800), Some(Region::SaEast1));
     let (a, b) = (use1[0], sae1[0]);
@@ -111,7 +111,7 @@ fn spot_unavailability_concentrates_at_low_prices() {
     // The Figure 5.10/5.11 direction: capacity-not-available happens at
     // low spot/od ratios, not at high ones.
     let (store, _, _) = study(17, 12);
-    let s = store.read();
+    let s = store.snapshot(SimTime::ZERO);
     let curve = spot_cna_curve(&s, None);
     let low: Vec<_> = curve
         .iter()
@@ -140,7 +140,7 @@ fn most_measured_outages_are_short() {
     // The Figure 5.9 direction: the majority of unavailability periods
     // close within a few hours.
     let (store, _, _) = study(19, 12);
-    let s = store.read();
+    let s = store.snapshot(SimTime::ZERO);
     let cdf = spotlight_core::analysis::duration_cdf(&s);
     if cdf.len() < 20 {
         return;
@@ -157,7 +157,7 @@ fn related_market_detections_accompany_spike_detections() {
     // The Figure 5.7 direction: fan-out finds additional unavailable
     // markets beyond the spike-triggered ones.
     let (store, _, _) = study(23, 14);
-    let s = store.read();
+    let s = store.snapshot(SimTime::ZERO);
     let (_, by_spike, by_related) = spotlight_core::analysis::rejection_attribution(&s);
     let spike_total: f64 = by_spike.iter().sum();
     let related_total: f64 = by_related.iter().sum();

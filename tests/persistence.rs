@@ -66,7 +66,7 @@ fn assert_same_summaries(got: &DataStore, want: &DataStore, markets: &[MarketId]
     assert_eq!(got.len(), want.len(), "recorded probe count");
     assert_eq!(got.total_cost(), want.total_cost(), "total cost");
     assert_eq!(got.suppressed_probes(), want.suppressed_probes());
-    let (g, w) = (got.read(), want.read());
+    let (g, w) = (got.snapshot(SimTime::ZERO), want.snapshot(SimTime::ZERO));
     assert_eq!(
         g.probes().copied().collect::<Vec<_>>(),
         w.probes().copied().collect::<Vec<_>>(),
@@ -365,7 +365,10 @@ fn compact_then_crash_then_recover_loses_nothing() {
     assert_eq!(recovered.len(), twin.len());
     assert_eq!(recovered.total_cost(), twin.total_cost());
     {
-        let (g, w) = (recovered.read(), twin.read());
+        let (g, w) = (
+            recovered.snapshot(SimTime::ZERO),
+            twin.snapshot(SimTime::ZERO),
+        );
         for &m in &markets {
             for kind in [ProbeKind::OnDemand, ProbeKind::Spot] {
                 assert_eq!(g.probe_stats(m, kind), w.probe_stats(m, kind));
@@ -515,7 +518,9 @@ fn year_scale_5184_market_run_stays_resident_bounded() {
     assert!(store.disk_bytes().unwrap() > 0);
 
     let sample = wide_market(17);
-    let want_stats = store.read().probe_stats(sample, ProbeKind::OnDemand);
+    let want_stats = store
+        .snapshot(SimTime::ZERO)
+        .probe_stats(sample, ProbeKind::OnDemand);
     let want_resident = store.resident_records();
     store.flush().unwrap();
     drop(store);
@@ -524,7 +529,9 @@ fn year_scale_5184_market_run_stays_resident_bounded() {
     assert_eq!(recovered.len() as u64, issued);
     assert_eq!(recovered.resident_records(), want_resident);
     assert_eq!(
-        recovered.read().probe_stats(sample, ProbeKind::OnDemand),
+        recovered
+            .snapshot(SimTime::ZERO)
+            .probe_stats(sample, ProbeKind::OnDemand),
         want_stats
     );
 }

@@ -165,7 +165,7 @@ proptest! {
         }
         // Closed intervals end at or after their start; at most one open
         // interval per market/kind.
-        let read = store.read();
+        let read = store.snapshot(SimTime::ZERO);
         let mut open = std::collections::HashSet::new();
         for i in read.intervals() {
             match i.end {
@@ -234,7 +234,7 @@ proptest! {
         for p in &seq {
             store.record_probe(*p);
         }
-        let read = store.read();
+        let read = store.snapshot(SimTime::ZERO);
         let from = SimTime::from_secs(from);
         let to = SimTime::from_secs(from.as_secs() + width);
         for market in all_markets() {
@@ -315,7 +315,7 @@ proptest! {
             store.record_probe(*p);
         }
         // At most one open interval per key; closed ones are ordered.
-        let read = store.read();
+        let read = store.snapshot(SimTime::ZERO);
         let mut open = std::collections::HashSet::new();
         for i in read.intervals() {
             match i.end {
@@ -438,7 +438,7 @@ proptest! {
         // Brute-force oracles over the raw interval log (the exact
         // formula the pre-epoch store computed per query).
         let (unavail, stats, rates, top, conditional, regions) = {
-            let read = store.read();
+            let read = store.snapshot(SimTime::ZERO);
             let intervals: Vec<_> = read.intervals().copied().collect();
             let q = SpotLightQuery::new(&read, qs, qe);
             let mut unavail = Vec::new();
@@ -485,7 +485,7 @@ proptest! {
 
         // Every summarized answer is bit-identical on the compacted
         // store; the raw logs only retain the window.
-        let read = store.read();
+        let read = store.snapshot(SimTime::ZERO);
         let q = SpotLightQuery::new(&read, qs, qe);
         let mut i = 0;
         for &m in &markets {
@@ -570,7 +570,10 @@ fn concurrent_ingest_matches_sequential_ingest() {
 
     assert_eq!(concurrent.len(), sequential.len());
     assert_eq!(concurrent.total_cost(), sequential.total_cost());
-    let (c, s) = (concurrent.read(), sequential.read());
+    let (c, s) = (
+        concurrent.snapshot(SimTime::ZERO),
+        sequential.snapshot(SimTime::ZERO),
+    );
     assert_eq!(c.od_rejections_by_region(), s.od_rejections_by_region());
     let span = (SimTime::ZERO, SimTime::from_secs(3000));
     for &m in &markets {
